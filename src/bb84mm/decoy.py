@@ -66,6 +66,12 @@ class DecoyConfig:
         return cls(intensities=(0.9, 0.1, 0.0), probabilities=(1 / 3, 1 / 3, 1 / 3))
 
 
+def _check_counts(name: str, counts) -> None:
+    # `c < 0` is false for NaN, so finiteness is checked explicitly.
+    if not all(math.isfinite(c) and c >= 0 for c in counts):
+        raise ValueError(f"{name} must be finite and nonnegative, got {counts}")
+
+
 @dataclass(frozen=True)
 class OutcomeCounts:
     """Per-intensity counts of one outcome class.
@@ -77,8 +83,7 @@ class OutcomeCounts:
     counts: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"counts must be nonnegative, got {self.counts}")
+        _check_counts("counts", self.counts)
 
     @property
     def total(self) -> float:
@@ -100,10 +105,12 @@ class Observations:
     e_z: float
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.n_x) or any(c < 0 for c in self.n_k):
-            raise ValueError("counts must be nonnegative")
-        if any(not 0.0 <= e <= 1.0 for e in self.e_x) or not 0.0 <= self.e_z <= 1.0:
-            raise ValueError("error rates must lie in [0, 1]")
+        _check_counts("n_x", self.n_x)
+        _check_counts("n_k", self.n_k)
+        # NaN fails both comparisons, so it is rejected here too.
+        for name, rates in (("e_x", self.e_x), ("e_z", (self.e_z,))):
+            if not all(0.0 <= e <= 1.0 for e in rates):
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
     @property
     def n_x_err(self) -> tuple[float, float, float]:

@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "DetectorSpec",
@@ -384,10 +383,15 @@ def _box_points(spec: DetectorSpec, interior_samples: int, seed: int):
     ]
     points = list(corners)
     if interior_samples > 0 and (len(eta_axis) > 1 or len(d_axis) > 1):
-        sampler = qmc.LatinHypercube(d=8, seed=seed)
+        # Imported here: loading scipy.stats costs most of the package's
+        # import time, and only the oracle samples the box.
+        from scipy.stats import qmc
+
         lo = np.array([spec.eta_min] * 4 + [spec.d_min] * 4)
         hi = np.array([spec.eta_max] * 4 + [spec.d_max] * 4)
-        for row in qmc.scale(sampler.random(interior_samples), lo, hi):
+        # Scaled by hand: qmc.scale rejects a flat axis (lo == hi).
+        u = qmc.LatinHypercube(d=8, seed=seed).random(interior_samples)
+        for row in lo + (hi - lo) * u:
             points.append((tuple(row[:4]), tuple(row[4:])))
     return points
 

@@ -15,21 +15,26 @@ construction reduces the quantum statement to this case).  Four verifiers:
                                conditioned expectations, with adversarially
                                correlated photon sequences.
 
-Each verifier is deterministic given its seed (per backend) and reports the
-empirical violation frequency, the analytic bound, the exact binomial
-standard error of the empirical frequency, and a pass flag meaning
-empirical <= bound + 3*sigma on every tested statistic.
+Each verifier reads only aggregate counts, so it draws those counts from
+their exact distribution instead of simulating rounds: multinomials for the
+Serfling assignment, the Poisson-binomial pmf for click counts, and run
+lengths of the photon-number chain followed by per-level multinomials for
+the decoy counts.  Each verifier is deterministic given ``cfg.seed`` and
+reports the empirical violation frequency, the analytic bound, the exact
+binomial standard error of the empirical frequency, and a pass flag meaning
+empirical <= bound + 3*sigma on every tested statistic (and, where the pmf
+gives it, exact probability <= bound).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
 
-from bb84mm import _kernels
 from bb84mm.decoy import DecoyConfig, intensity_given_photon
 from bb84mm.stat_bounds import (
     TailQuery,
@@ -47,10 +52,43 @@ __all__ = [
     "verify_freq_transfer",
     "verify_decoy_hoeffding",
     "run_all",
+    "poisson_binomial_pmf",
 ]
 
 # Strata below this trial count are reported but not asserted.
 MIN_STRATUM = 100
+
+# Relative slack of the exact-probability checks: the pmf recursion and the
+# incomplete-beta tail agree to about 1e-14 where they compute the same value.
+EXACT_RTOL = 1e-12
+
+PROFILES = ("extremal", "heterogeneous", "zero")
+# Closed range of each numeric TrialConfig field, and whether it is an
+# integer; fewer than 1000 trials give no reportable frequencies.
+_RANGES = {
+    "n": (1, math.inf, True),
+    "trials": (1000, math.inf, True),
+    "seed": (0, math.inf, True),
+    "p_test": (0.0, 1.0, False),
+    "p_key": (0.0, 1.0, False),
+    "ones_density": (0.0, 1.0, False),
+    "gamma": (0.0, math.inf, False),
+    "delta": (0.0, 1.0, False),
+    "c": (0.0, 1.0, False),
+    "base_rate": (0.0, 1.0, False),
+    "eps_sq": (0.0, 1.0, False),
+    "markov_stay": (0.0, 1.0, False),
+    "photon_levels": (1, math.inf, True),
+    "constant_photons": (-1, math.inf, True),
+}
+
+# The distribution each verifier draws its counts from, by report name.
+SAMPLERS = {
+    "serfling": "multinomial (test, key, neither) counts among the ones and among the zeros",
+    "smallpovm": "Poisson-binomial click count, inverse-CDF draw from the exact pmf",
+    "transfer": "two independent Poisson-binomial click counts, one per profile",
+    "decoy": "sticky-chain photon-level visits from Geometric run lengths, then per-level multinomials",
+}
 
 
 @dataclass(frozen=True)
@@ -80,12 +118,22 @@ class TrialConfig:
     constant_photons: int = -1  # >= 0 pins the photon number (IID reduction)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.trials < 1:
-            raise ValueError("n and trials must be positive")
-        if self.trials < 1000:
-            raise ValueError("trials must be >= 1000 for reportable frequencies")
+        for name, (lo, hi, integer) in _RANGES.items():
+            value = getattr(self, name)
+            kind = Integral if integer else Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not (
+                math.isfinite(value) and lo <= value <= hi
+            ):
+                what = "integer" if integer else "number"
+                raise ValueError(f"{name} must be a finite {what} in [{lo}, {hi}], got {value!r}")
+        if self.eps_sq == 0.0:
+            raise ValueError("eps_sq must be > 0")
+        if self.constant_photons >= self.photon_levels:
+            raise ValueError(f"constant_photons must be < photon_levels = {self.photon_levels}")
         if self.p_test + self.p_key > 1.0 + 1e-12:
             raise ValueError("p_test + p_key must not exceed 1")
+        if self.profile not in PROFILES:
+            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +154,7 @@ class VerifierReport:
             "bound": self.bound,
             "sigma": self.sigma,
             "pass": self.passed,
-            "backend": _kernels.backend_name(),
+            "sampler": SAMPLERS[self.name],
             "details": self.details,
         }
 
@@ -115,11 +163,81 @@ def _binomial_se(freq: float, count: int) -> float:
     return math.sqrt(freq * (1.0 - freq) / count) if count > 0 else 0.0
 
 
-def _fixed_bits(n: int, density: float) -> np.ndarray:
-    ones = int(round(n * density))
-    bits = np.zeros(n, np.uint8)
-    bits[:ones] = 1
-    return bits
+def _rng(cfg: TrialConfig, name: str) -> np.random.Generator:
+    """One independent stream per verifier, all seeded from ``cfg.seed``."""
+    return np.random.default_rng([cfg.seed, list(SAMPLERS).index(name)])
+
+
+def poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
+    """pmf of the number of successes among independent Bernoulli(p_i).
+
+    The O(n^2) recursion (one of the methods Hong 2013, CSDA 59:41-51,
+    compares) adds one round at a time; each step is a convex combination,
+    so nothing cancels.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    pmf = np.zeros(p.size + 1)
+    pmf[0] = 1.0
+    for i, pi in enumerate(p):
+        pmf[1 : i + 2] = pmf[1 : i + 2] * (1.0 - pi) + pmf[: i + 1] * pi
+        pmf[0] *= 1.0 - pi
+    return pmf
+
+
+def _upper_tail(pmf: np.ndarray, k: int) -> float:
+    """P[count >= k] summed from the pmf (small tails keep their accuracy)."""
+    return float(pmf[max(k, 0) :].sum())
+
+
+def _draw_counts(pmf: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """``trials`` counts drawn from ``pmf`` by inverting its CDF."""
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, rng.random(trials), side="right")
+
+
+def _serfling_counts(n: int, ones: int, p_test: float, p_key: float, trials: int, rng):
+    """Per-trial (n_test, n_key, ones_in_test, ones_in_key) of IID assignment.
+
+    Each position of a fixed string with ``ones`` ones is test, key or
+    neither independently, so the three counts among the ones and among the
+    zeros are two independent multinomials.
+    """
+    pvals = [p_test, p_key, max(0.0, 1.0 - p_test - p_key)]
+    in_ones = rng.multinomial(ones, pvals, size=trials)
+    in_zeros = rng.multinomial(n - ones, pvals, size=trials)
+    s_t, s_k = in_ones[:, 0], in_ones[:, 1]
+    return s_t + in_zeros[:, 0], s_k + in_zeros[:, 1], s_t, s_k
+
+
+def _chain_visits(n: int, trials: int, levels: int, stay: float, constant: int, rng) -> np.ndarray:
+    """Per-trial visit counts (trials, levels) of the sticky photon chain.
+
+    The chain starts at a uniform level; each later round keeps the level
+    with probability ``stay`` or redraws it uniformly.  So it is a sequence
+    of runs at fresh uniform levels with Geometric(1 - stay) lengths,
+    truncated at the rounds left, and the loop runs over runs, not rounds.
+    ``constant >= 0`` pins every round to that level.
+    """
+    visits = np.zeros((trials, levels), np.int64)
+    if constant >= 0:
+        visits[:, constant] = n
+        return visits
+    rows = np.arange(trials)
+    left = np.full(trials, n, np.int64)
+    while rows.size:
+        run = left[rows] if stay >= 1.0 else np.minimum(rng.geometric(1.0 - stay, rows.size), left[rows])
+        visits[rows, rng.integers(0, levels, rows.size)] += run
+        left[rows] -= run
+        rows = rows[left[rows] > 0]
+    return visits
+
+
+def _intensity_counts(visits: np.ndarray, cond: np.ndarray, rng) -> np.ndarray:
+    """Per-trial intensity counts: the sum over levels m of
+    Multinomial(visits_m, p(mu | m)), since intensities are drawn
+    independently round by round given the photon numbers."""
+    return sum(rng.multinomial(visits[:, m], cond[m]) for m in range(cond.shape[0]))
 
 
 def verify_serfling(cfg: TrialConfig) -> VerifierReport:
@@ -129,9 +247,9 @@ def verify_serfling(cfg: TrialConfig) -> VerifierReport:
     are bucketed by the realized (n_test, n_key) and each occupied bucket
     is checked against exp(-2 gamma^2 f_serf(n_test, n_key)).
     """
-    bits = _fixed_bits(cfg.n, cfg.ones_density)
-    n_t, n_k, s_t, s_k = _kernels.serfling_trials(
-        bits, cfg.p_test, cfg.p_key, cfg.trials, cfg.seed
+    rng = _rng(cfg, "serfling")
+    n_t, n_k, s_t, s_k = _serfling_counts(
+        cfg.n, int(round(cfg.n * cfg.ones_density)), cfg.p_test, cfg.p_key, cfg.trials, rng
     )
     valid = (n_t >= 1) & (n_k >= 1)
     viol = np.zeros(cfg.trials, bool)
@@ -195,9 +313,7 @@ def _click_profile(cfg: TrialConfig, rng: np.random.Generator) -> np.ndarray:
         return np.full(cfg.n, cfg.delta)
     if cfg.profile == "heterogeneous":
         return rng.uniform(0.0, cfg.delta, cfg.n)
-    if cfg.profile == "zero":
-        return np.zeros(cfg.n)
-    raise ValueError(f"unknown click profile {cfg.profile!r}")
+    return np.zeros(cfg.n)
 
 
 def verify_small_povm(cfg: TrialConfig) -> VerifierReport:
@@ -205,16 +321,19 @@ def verify_small_povm(cfg: TrialConfig) -> VerifierReport:
 
     Per-round click probabilities p_i <= delta; the extremal profile
     p_i = delta is the Bernoulli case where the bound is tight (report
-    carries the two-sided agreement for that mode).
+    carries the two-sided agreement for that mode).  The count is drawn
+    from its exact Poisson-binomial pmf, whose tail is reported as
+    ``details["exact"]`` and must itself lie below the bound.
     """
-    rng = np.random.default_rng(cfg.seed)
-    p = _click_profile(cfg, rng)
-    counts = _kernels.bernoulli_count_trials(p, cfg.trials, cfg.seed + 1)
+    rng = _rng(cfg, "smallpovm")
+    pmf = poisson_binomial_pmf(_click_profile(cfg, rng))
+    counts = _draw_counts(pmf, cfg.trials, rng)
     threshold = _tail_threshold(cfg.n, cfg.delta + cfg.c)
     bound = binomial_tail(TailQuery(n=cfg.n, delta=cfg.delta, c=cfg.c))
+    exact = _upper_tail(pmf, threshold)
     empirical = float((counts >= threshold).mean())
     sigma = _binomial_se(empirical, cfg.trials)
-    passed = bool(empirical <= bound + 3.0 * sigma)
+    passed = bool(empirical <= bound + 3.0 * sigma and exact <= bound * (1.0 + EXACT_RTOL))
     sigma_bound = _binomial_se(bound, cfg.trials)
     return VerifierReport(
         name="smallpovm",
@@ -225,6 +344,7 @@ def verify_small_povm(cfg: TrialConfig) -> VerifierReport:
         details={
             "profile": cfg.profile,
             "threshold": threshold,
+            "exact": exact,
             "tight_two_sided": bool(abs(empirical - bound) <= 3.0 * sigma_bound),
         },
     )
@@ -233,31 +353,52 @@ def verify_small_povm(cfg: TrialConfig) -> VerifierReport:
 def verify_freq_transfer(cfg: TrialConfig) -> VerifierReport:
     """Nearby click profiles give nearby exceedance frequencies.
 
-    Draws a random profile p and a perturbed p' with |p' - p| <= delta
-    (coupled through shared per-round uniforms, the classical image of the
-    three-outcome remapping), then checks, on a grid of base rates e,
+    Draws a random profile p and a perturbed p' with |p' - p| <= delta,
+    then checks, on a grid of base rates e,
 
         Pr[N'/n >= e + 2 delta + c] <= Pr[N/n >= e] + tail(n; 2 delta; c).
+
+    The inequality compares two marginal probabilities, so N and N' are
+    drawn independently, each from its exact Poisson-binomial pmf: the
+    proof's coupling of the profiles through shared per-round uniforms (the
+    three-outcome remapping) is only its device and changes neither side.
+    With independent draws, the hypot of the two standard errors is exact,
+    not conservative.  A row passes only if its exact sides (``exact_left``,
+    ``exact_right``) satisfy the inequality too.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = _rng(cfg, "transfer")
     half_width = min(cfg.base_rate - 0.01, 0.05)
-    p = rng.uniform(cfg.base_rate - half_width, cfg.base_rate + half_width, cfg.n)
+    p = np.clip(rng.uniform(cfg.base_rate - half_width, cfg.base_rate + half_width, cfg.n), 0.0, 1.0)
     p_prime = np.clip(p + rng.uniform(-cfg.delta, cfg.delta, cfg.n), 0.0, 1.0)
-    c_p, c_pp = _kernels.coupled_pair_trials(p, p_prime, cfg.trials, cfg.seed + 1)
+    pmf, pmf_prime = poisson_binomial_pmf(p), poisson_binomial_pmf(p_prime)
+    c_p = _draw_counts(pmf, cfg.trials, rng)
+    c_pp = _draw_counts(pmf_prime, cfg.trials, rng)
 
     tail = binomial_tail(TailQuery(n=cfg.n, delta=min(1.0, 2.0 * cfg.delta), c=cfg.c))
     grid = [cfg.base_rate - 0.02, cfg.base_rate, cfg.base_rate + 0.02]
     rows = []
     passed = True
     for e in grid:
-        left = float((c_pp >= _tail_threshold(cfg.n, e + 2.0 * cfg.delta + cfg.c)).mean())
-        right_freq = float((c_p >= _tail_threshold(cfg.n, e)).mean())
+        k_left = _tail_threshold(cfg.n, e + 2.0 * cfg.delta + cfg.c)
+        k_right = _tail_threshold(cfg.n, e)
+        left = float((c_pp >= k_left).mean())
+        right_freq = float((c_p >= k_right).mean())
         right = right_freq + tail
+        exact_left = _upper_tail(pmf_prime, k_left)
+        exact_right = _upper_tail(pmf, k_right) + tail
         sig = math.hypot(_binomial_se(left, cfg.trials), _binomial_se(right_freq, cfg.trials))
-        ok = bool(left <= right + 3.0 * sig)
+        ok = bool(left <= right + 3.0 * sig and exact_left <= exact_right * (1.0 + EXACT_RTOL))
         passed &= ok
         rows.append(
-            {"e": e, "left": left, "right": right, "sigma": sig, "pass": ok}
+            {
+                "e": e,
+                "left": left,
+                "right": right,
+                "exact_left": exact_left,
+                "exact_right": exact_right,
+                "sigma": sig,
+                "pass": ok,
+            }
         )
     worst = max(rows, key=lambda r: r["left"] - r["right"])
     return VerifierReport(
@@ -286,14 +427,11 @@ def verify_decoy_hoeffding(cfg: TrialConfig, decoy: DecoyConfig | None = None) -
     cond = np.stack(
         [intensity_given_photon(m, decoy) for m in range(cfg.photon_levels)]
     )
-    counts_k, counts_m = _kernels.intensity_assignment_trials(
-        cfg.n,
-        cfg.trials,
-        cfg.seed,
-        cfg.markov_stay,
-        np.cumsum(cond, axis=1),
-        cfg.constant_photons,
+    rng = _rng(cfg, "decoy")
+    counts_m = _chain_visits(
+        cfg.n, cfg.trials, cfg.photon_levels, cfg.markov_stay, cfg.constant_photons, rng
     )
+    counts_k = _intensity_counts(counts_m, cond, rng)
     t = hoeffding_decoy_dev(cfg.n, cfg.eps_sq)
     expected = counts_m @ cond  # (trials, intensities)
     dev = np.abs(counts_k - expected)

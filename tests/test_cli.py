@@ -248,6 +248,19 @@ class TestErrorPaths:
         path.write_text(json.dumps(cfg))
         assert run_cli("keyrate", "--config", str(path)) == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_observations(self, config_path, tmp_path, capsys, bad):
+        path = tmp_path / "obs.json"
+        path.write_text('{"n_x": [%s, 1, 1], "n_k": [1, 1, 1], "e_x": [0, 0, 0], "e_z": 0}' % bad)
+        assert run_cli("keyrate", "--config", config_path, "--observations", str(path)) == 2
+        assert "n_x" in capsys.readouterr().err
+
+    def test_out_of_range_verify_field(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"verify": {"constant_photons": 7}}))
+        assert run_cli("verify", "--lemma", "decoy", "--config", str(path)) == 2
+        assert "constant_photons" in capsys.readouterr().err
+
 
 def test_console_entry_point(config_path):
     proc = subprocess.run(
@@ -258,3 +271,13 @@ def test_console_entry_point(config_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert "closed_form" in payload
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bb84mm.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

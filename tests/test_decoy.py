@@ -172,3 +172,16 @@ class TestObservations:
             Observations(n_x=(-1, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=0.0)
         with pytest.raises(ValueError):
             Observations(n_x=(1, 0, 0), n_k=(0, 0, 0), e_x=(1.5, 0, 0), e_z=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="n_x"):
+            Observations(n_x=(bad, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=0.0)
+        with pytest.raises(ValueError, match="n_k"):
+            Observations(n_x=(0, 0, 0), n_k=(0, 0, bad), e_x=(0, 0, 0), e_z=0.0)
+        with pytest.raises(ValueError, match="e_x"):
+            Observations(n_x=(0, 0, 0), n_k=(0, 0, 0), e_x=(0, bad, 0), e_z=0.0)
+        with pytest.raises(ValueError, match="e_z"):
+            Observations(n_x=(0, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=bad)
+        with pytest.raises(ValueError, match="counts"):
+            OutcomeCounts((1.0, bad, 2.0))

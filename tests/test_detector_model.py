@@ -240,6 +240,22 @@ class TestOracleDeltas:
         assert oracle.delta1 > 0.0
         assert oracle.delta2 > 0.0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DetectorSpec(0.7, 1e-6, 0.01, 0.0),
+            DetectorSpec(0.7, 1e-6, 0.0, 0.01),
+            DetectorSpec(0.7, 0.0, 0.01, 0.01),
+        ],
+        ids=["flat_dark_counts", "flat_efficiencies", "zero_dark_floor"],
+    )
+    def test_flat_axis_dominated_by_closed_form(self, spec):
+        # One flat box axis (lo == hi) must still sample the interior.
+        oracle = oracle_deltas(spec, n_max=4, interior_samples=8, seed=2)
+        closed = closed_form_deltas(spec)
+        assert 0.0 < oracle.delta1 <= closed.delta1 + 1e-12
+        assert 0.0 < oracle.delta2 <= closed.delta2 + 1e-12
+
     def test_block_max_attained_at_corners(self):
         # Dense box sampling never beats the corner scan for N <= 3.
         spec = DetectorSpec(0.7, 1e-6, 0.01, 0.01)

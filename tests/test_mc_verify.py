@@ -4,15 +4,25 @@ The routine suite runs at reduced trial counts; the full acceptance
 configuration (n = 2000, 1e5 trials) lives in test_acceptance.py.
 """
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
-from bb84mm import _kernels
+from bb84mm import mc_verify
 from bb84mm.decoy import DecoyConfig
 from bb84mm.mc_verify import (
     TrialConfig,
+    _chain_visits,
+    _draw_counts,
+    _intensity_counts,
+    _serfling_counts,
+    poisson_binomial_pmf,
     verify_decoy_hoeffding,
     verify_freq_transfer,
     verify_serfling,
@@ -21,54 +31,122 @@ from bb84mm.mc_verify import (
 
 FAST = dict(n=500, trials=20_000)
 
+# Goodness-of-fit floor for samplers against exact enumeration, at fixed
+# seeds; a correct sampler falls below it with probability 1e-7.
+GOF_ALPHA = 1e-7
+
+
+def _enumerated_pmf(p):
+    """Distribution of the success count by summing over all outcomes."""
+    out = np.zeros(len(p) + 1)
+    for hits in itertools.product((0, 1), repeat=len(p)):
+        out[sum(hits)] += math.prod(pi if h else 1.0 - pi for pi, h in zip(p, hits))
+    return out
+
+
+def _gof_pvalue(samples, exact):
+    """Chi-square p-value of sampled rows against {row: probability}; a row
+    that the exact distribution excludes fails outright."""
+    observed = Counter(map(tuple, np.asarray(samples).reshape(len(samples), -1).tolist()))
+    assert set(observed) <= set(exact), set(observed) - set(exact)
+    f_obs = np.array([observed[k] for k in exact], float)
+    f_exp = np.array(list(exact.values()))
+    return stats.chisquare(f_obs, f_exp * f_obs.sum() / f_exp.sum()).pvalue
+
+
+def _chain_sequences(n, levels, stay):
+    """Every level sequence of the sticky chain with its probability."""
+    for seq in itertools.product(range(levels), repeat=n):
+        prob = 1.0 / levels
+        for a, b in zip(seq, seq[1:]):
+            prob *= (1.0 - stay) / levels + (stay if a == b else 0.0)
+        yield seq, prob
+
 
 class TestKernels:
+    """The exact count samplers behind the verifiers."""
+
     def test_serfling_counts_consistent(self):
-        bits = np.zeros(100, np.uint8)
-        bits[:50] = 1
-        n_t, n_k, s_t, s_k = _kernels.serfling_trials(bits, 0.4, 0.4, 500, seed=1)
+        n_t, n_k, s_t, s_k = _serfling_counts(100, 50, 0.4, 0.4, 500, np.random.default_rng(1))
         assert np.all(n_t + n_k <= 100)
         assert np.all(s_t <= n_t)
         assert np.all(s_k <= n_k)
+        assert np.all(s_t + s_k <= 50)
         # assignment probabilities roughly honored
         assert abs(n_t.mean() - 40) < 2.0
 
     def test_serfling_deterministic(self):
-        bits = np.zeros(64, np.uint8)
-        bits[::2] = 1
-        a = _kernels.serfling_trials(bits, 0.5, 0.5, 200, seed=9)
-        b = _kernels.serfling_trials(bits, 0.5, 0.5, 200, seed=9)
+        a = _serfling_counts(64, 32, 0.5, 0.5, 200, np.random.default_rng(9))
+        b = _serfling_counts(64, 32, 0.5, 0.5, 200, np.random.default_rng(9))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
+    def test_serfling_counts_match_enumeration(self):
+        # bits 1, 1, 0; each position test / key / neither independently
+        bits, probs = (1, 1, 0), (0.3, 0.5, 0.2)
+        exact = Counter()
+        for roles in itertools.product(range(3), repeat=3):
+            ones = [sum(b for b, r in zip(bits, roles) if r == role) for role in (0, 1)]
+            exact[roles.count(0), roles.count(1), *ones] += math.prod(probs[r] for r in roles)
+        draws = np.stack(_serfling_counts(3, 2, 0.3, 0.5, 100_000, np.random.default_rng(11)), axis=1)
+        assert _gof_pvalue(draws, exact) >= GOF_ALPHA
+
     def test_bernoulli_counts_mean(self):
-        p = np.full(200, 0.25)
-        counts = _kernels.bernoulli_count_trials(p, 4000, seed=3)
+        counts = _draw_counts(poisson_binomial_pmf(np.full(200, 0.25)), 4000, np.random.default_rng(3))
         assert abs(counts.mean() - 50.0) < 1.0
 
-    def test_coupled_pair_marginals_and_ordering(self):
-        rng = np.random.default_rng(0)
-        p = rng.uniform(0.1, 0.3, 300)
-        shift = rng.uniform(0.0, 0.05, 300)
-        c, c_prime = _kernels.coupled_pair_trials(p, p + shift, 2000, seed=5)
-        # dominated profile never out-counts the dominating one
-        assert np.all(c <= c_prime)
-        assert abs(c.mean() - p.sum()) < 3.0
-        assert abs(c_prime.mean() - (p + shift).sum()) < 3.0
+    def test_draws_match_pmf(self):
+        pmf = poisson_binomial_pmf([0.1, 0.5, 0.9, 0.3])
+        counts = _draw_counts(pmf, 100_000, np.random.default_rng(4))
+        assert _gof_pvalue(counts, {(k,): v for k, v in enumerate(pmf)}) >= GOF_ALPHA
+
+    def test_pmf_matches_binomial_at_n_2000(self):
+        k = np.arange(2001)
+        for p in (0.01, 0.1, 0.5):
+            pmf = poisson_binomial_pmf(np.full(2000, p))
+            assert np.max(np.abs(pmf - stats.binom.pmf(k, 2000, p))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=10))
+    def test_pmf_properties(self, p):
+        pmf = poisson_binomial_pmf(p)
+        assert pmf.shape == (len(p) + 1,)
+        assert np.all(pmf >= 0.0)
+        assert math.isclose(pmf.sum(), 1.0, abs_tol=1e-12)
+        assert math.isclose(pmf @ np.arange(len(p) + 1), sum(p), abs_tol=1e-12)
+        assert np.allclose(pmf, _enumerated_pmf(p), rtol=0, atol=1e-14)
+
+    def test_chain_never_leaves_its_level_at_stay_one(self):
+        assert np.all(_chain_visits(50, 1000, 3, 1.0, -1, np.random.default_rng(13)).max(axis=1) == 50)
+
+    def test_chain_and_intensity_counts_match_enumeration(self):
+        # every level sequence and intensity sequence of 4 rounds, 2 levels
+        cond = np.array([[0.2, 0.5, 0.3], [0.6, 0.3, 0.1]])
+        joint, visits_only = Counter(), Counter()
+        for seq, prob in _chain_sequences(4, 2, 0.7):
+            visits_only[seq.count(0), seq.count(1)] += prob
+            for ks in itertools.product(range(3), repeat=4):
+                p = prob * math.prod(cond[m, k] for m, k in zip(seq, ks))
+                joint[seq.count(0), seq.count(1), ks.count(0), ks.count(1), ks.count(2)] += p
+        rng = np.random.default_rng(12)
+        visits = _chain_visits(4, 200_000, 2, 0.7, -1, rng)
+        assert _gof_pvalue(visits, visits_only) >= GOF_ALPHA
+        draws = np.hstack([visits, _intensity_counts(visits, cond, rng)])
+        assert _gof_pvalue(draws, joint) >= GOF_ALPHA
 
     def test_intensity_assignment_totals(self):
         cond = np.array([[0.2, 0.5, 0.3], [0.6, 0.3, 0.1]])
-        counts_k, counts_m = _kernels.intensity_assignment_trials(
-            150, 800, seed=7, stay=0.8, cond_cum=np.cumsum(cond, axis=1), constant_m=-1
-        )
+        rng = np.random.default_rng(7)
+        counts_m = _chain_visits(150, 800, 2, 0.8, -1, rng)
+        counts_k = _intensity_counts(counts_m, cond, rng)
         assert np.all(counts_k.sum(axis=1) == 150)
         assert np.all(counts_m.sum(axis=1) == 150)
 
     def test_constant_photon_mode(self):
         cond = np.array([[0.2, 0.5, 0.3], [0.6, 0.3, 0.1]])
-        counts_k, counts_m = _kernels.intensity_assignment_trials(
-            100, 500, seed=7, stay=0.8, cond_cum=np.cumsum(cond, axis=1), constant_m=1
-        )
+        rng = np.random.default_rng(7)
+        counts_m = _chain_visits(100, 500, 2, 0.8, 1, rng)
+        counts_k = _intensity_counts(counts_m, cond, rng)
         assert np.all(counts_m[:, 1] == 100)
         assert np.all(counts_m[:, 0] == 0)
         # IID categorical: mean per intensity matches the conditional row
@@ -112,6 +190,19 @@ class TestSmallPovmVerifier:
         with pytest.raises(ValueError):
             verify_small_povm(TrialConfig(**FAST, profile="bogus"))
 
+    def test_exact_tail_of_extremal_profile_is_the_bound(self):
+        rep = verify_small_povm(TrialConfig(n=2000, trials=1000))
+        assert rep.details["exact"] == pytest.approx(rep.bound, rel=1e-12, abs=0)
+
+    def test_pass_requires_exact_inequality(self, monkeypatch):
+        # A bound just under the exact tail is within the 3-sigma Monte Carlo
+        # slack but below the exact probability, so the report must fail.
+        real = mc_verify.binomial_tail
+        monkeypatch.setattr(mc_verify, "binomial_tail", lambda q: real(q) * (1.0 - 1e-6))
+        rep = verify_small_povm(TrialConfig(n=2000, trials=20_000))
+        assert rep.empirical <= rep.bound + 3.0 * rep.sigma
+        assert not rep.passed
+
 
 class TestFreqTransferVerifier:
     def test_passes_on_grid(self):
@@ -127,6 +218,16 @@ class TestFreqTransferVerifier:
         rep = verify_freq_transfer(TrialConfig(n=1000, trials=20_000, c=1.0))
         assert rep.passed
         assert all(row["left"] == 0.0 for row in rep.details["grid"])
+        assert all(row["exact_left"] == 0.0 for row in rep.details["grid"])
+
+    def test_exact_sides_bracket_frequencies(self):
+        cfg = TrialConfig(n=1000, trials=20_000)
+        rep = verify_freq_transfer(cfg)
+        tail = rep.details["tail_term"]
+        for row in rep.details["grid"]:
+            assert row["exact_left"] <= row["exact_right"]
+            for freq, exact in ((row["left"], row["exact_left"]), (row["right"] - tail, row["exact_right"] - tail)):
+                assert abs(freq - exact) <= 6.0 * math.sqrt(exact * (1.0 - exact) / cfg.trials) + 1e-12
 
 
 class TestDecoyHoeffdingVerifier:
@@ -156,9 +257,40 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrialConfig(p_test=0.7, p_key=0.7)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 0),
+            ("n", 2.5),
+            ("trials", math.inf),
+            ("seed", -1),
+            ("p_test", -0.2),
+            ("p_key", math.nan),
+            ("ones_density", 1.5),
+            ("gamma", -0.1),
+            ("gamma", math.inf),
+            ("delta", math.nan),
+            ("c", -math.inf),
+            ("base_rate", 2.0),
+            ("eps_sq", 0.0),
+            ("markov_stay", 1.5),
+            ("markov_stay", math.nan),
+            ("photon_levels", 0),
+            ("constant_photons", 3),
+            ("constant_photons", -2),
+            ("profile", "bogus"),
+        ],
+    )
+    def test_rejects_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            TrialConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        TrialConfig(markov_stay=1.0, p_test=0.0, p_key=1.0, eps_sq=1.0, gamma=0.0, constant_photons=2)
+
 
 def test_report_serialization():
-    rep = verify_small_povm(TrialConfig(**FAST))
-    payload = rep.as_dict()
-    assert set(payload) >= {"name", "empirical", "bound", "sigma", "pass", "backend"}
-    assert payload["backend"] in ("numba", "numpy")
+    payload = verify_small_povm(TrialConfig(**FAST)).as_dict()
+    assert set(payload) >= {"name", "empirical", "bound", "sigma", "pass", "sampler"}
+    assert payload["sampler"] == mc_verify.SAMPLERS["smallpovm"]
+    assert payload["details"]["exact"] > 0.0
