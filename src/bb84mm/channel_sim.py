@@ -63,10 +63,12 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.transmissivity <= 1.0:
             raise ValueError(f"transmissivity must lie in (0, 1], got {self.transmissivity}")
+        if not math.isfinite(self.misalignment_deg):
+            raise ValueError(f"misalignment_deg must be finite, got {self.misalignment_deg}")
         # JSON configs express large round counts as floats (1e12)
         if isinstance(self.n_total, float):
-            if self.n_total != int(self.n_total):
-                raise ValueError(f"n_total must be an integer, got {self.n_total}")
+            if not self.n_total.is_integer():
+                raise ValueError(f"n_total must be a finite integer, got {self.n_total}")
             object.__setattr__(self, "n_total", int(self.n_total))
         if self.n_total < 1:
             raise ValueError(f"n_total must be >= 1, got {self.n_total}")

@@ -242,7 +242,10 @@ def cmd_delta(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     detector = _detector(cfg)
     closed = closed_form_deltas(detector)
-    oracle = oracle_deltas(detector, n_max=args.nmax, seed=args.seed)
+    try:
+        oracle = oracle_deltas(detector, n_max=args.nmax, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"delta: {exc}") from exc
     _emit_json(
         {
             "config": _resolved(cfg, nmax=args.nmax, seed=args.seed),
@@ -323,10 +326,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         overrides["seed"] = args.seed
     trial_cfg = _build(TrialConfig, overrides, "verify")
     verifier = _VERIFIERS[args.lemma]
-    if args.lemma == "decoy" and "decoy" in cfg:
-        report = verifier(trial_cfg, _decoy_config(cfg))
-    else:
-        report = verifier(trial_cfg)
+    extra = (_decoy_config(cfg),) if args.lemma == "decoy" and "decoy" in cfg else ()
+    try:
+        report = verifier(trial_cfg, *extra)
+    except ValueError as exc:
+        raise ConfigError(f"verify: {exc}") from exc
     payload = report.as_dict()
     payload["config"] = _resolved(cfg, verify=dataclasses.asdict(trial_cfg), lemma=args.lemma)
     _emit_json(payload, args.out)

@@ -49,6 +49,9 @@ class DecoyConfig:
     probabilities: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        for name in ("intensities", "probabilities"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         mu1, mu2, mu3 = self.intensities
         if not (mu1 > mu2 + mu3 and mu2 > mu3 >= 0.0):
             raise ValueError(

@@ -9,18 +9,24 @@ Two routes to the mismatch metrics:
 
 * ``closed_form_deltas`` -- analytic worst-case bounds over the detector
   tolerance box, in terms of the extreme efficiencies and dark-count rates.
-* ``oracle_deltas`` -- direct numeric evaluation: build the filtered POVM
-  blocks, take infinity norms by eigenvalue, maximize over photon blocks and
-  tolerance-box corners (plus interior samples as an implementation check).
+* ``oracle_deltas`` -- direct numeric evaluation: per-block norms of the
+  filtered POVM operators, maximized over photon blocks and tolerance-box
+  corners (plus interior samples as an implementation check).
 
 The oracle is definitionally tighter (the closed form pays a triangle
 inequality), so oracle <= closed form component-wise is a tested invariant.
 Key rates use the closed form.
 
-Within each block the X-basis operators are expressed in the Z-mode Fock
-basis by conjugating with the N-photon representation of the 50/50 mode
-rotation (the spin-N/2 rotation matrix at angle pi/2), so operators from
-both bases live in one common matrix basis.
+Every block operator has a known eigenbasis.  Z-basis operators are
+diagonal in the Z-mode Fock basis; X-basis operators are diagonal in
+kron(H, R), with H the Hadamard on Alice's qubit and R the N-photon
+representation of the 50/50 mode rotation (``mode_rotation_unitary``); the
+common filter is f_N times the identity.  ``_block_spectra`` therefore gives
+each operator as its eigenvalue vector, batched over tolerance-box points,
+and every pseudo-inverse and square root acts elementwise on those vectors.
+The one eigen-solve left per block is the spectral norm behind delta1: the
+two filtered X-error operators are diagonal in different bases, so their
+difference is not.
 """
 
 from __future__ import annotations
@@ -44,11 +50,12 @@ __all__ = [
     "oracle_deltas",
 ]
 
-# Eigenvalues below this are treated as exact zeros in pseudo-inverses.
+# Eigenvalues at or below this are treated as exact zeros in pseudo-inverses.
 EIGEN_TOL = 1e-12
 
-# Hard cap on the per-block photon number; factorial-based rotation entries
-# stay well-conditioned far beyond the physically relevant range.
+# Hard cap on the per-block photon number.  The mode rotation is tested
+# orthogonal to 1e-13 up to this cap, and the per-block deltas are tested to
+# decay geometrically beyond N = 1 all the way to it.
 MAX_BLOCK_PHOTONS = 64
 
 
@@ -157,78 +164,112 @@ def closed_form_deltas(spec: DetectorSpec) -> DeltaPair:
     return DeltaPair(delta1, delta2)
 
 
-def _wigner_d(n: int, beta: float) -> np.ndarray:
-    """Spin-j rotation matrix d^j(beta) for j = n/2 in photon-number indexing.
-
-    Index i along each axis counts photons in mode 1 (i.e. m = j - i), so
-    column k holds the rotated basis state with k photons in mode 1.  All
-    entries are real.
-    """
-    half = beta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    # log |c|, log |s| guarded for exact zeros
-    out = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for k in range(n + 1):
-            # factorial prefactor sqrt((n-k)! k! (n-i)! i!)
-            pref = 0.5 * (
-                math.lgamma(n - k + 1)
-                + math.lgamma(k + 1)
-                + math.lgamma(n - i + 1)
-                + math.lgamma(i + 1)
-            )
-            total = 0.0
-            for t in range(max(0, i - k), min(n - k, i) + 1):
-                cos_exp = n + i - k - 2 * t
-                sin_exp = k - i + 2 * t
-                if (c == 0.0 and cos_exp > 0) or (s == 0.0 and sin_exp > 0):
-                    continue
-                logmag = pref - (
-                    math.lgamma(n - k - t + 1)
-                    + math.lgamma(t + 1)
-                    + math.lgamma(k - i + t + 1)
-                    + math.lgamma(i - t + 1)
-                )
-                term = math.exp(logmag) * c**cos_exp * s**sin_exp
-                # sign convention (-1)^(m'-m+t) with m'-m = k-i
-                total += -term if (k - i + t) % 2 else term
-            out[i, k] = total
-    return out
-
-
-def mode_rotation_unitary(n: int, beta: float = math.pi / 2) -> np.ndarray:
-    """Unitary mapping rotated-mode Fock states into the reference Fock basis.
-
-    Column k is the n-photon state with k photons in the rotated mode 1,
-    expressed in the reference (mode-0/mode-1) Fock basis; the rotation
-    sends mode 0 to cos(beta/2) a0 + sin(beta/2) a1.  At beta = pi/2 this is
-    the 50/50 X<->Z mode change; the single-photon block reduces to
-    [[cos(beta/2), -sin(beta/2)], [sin(beta/2), cos(beta/2)]].
-    """
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
-    return _wigner_d(n, beta)
-
-
-def _eigh_block(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _eigen(solver, mat: np.ndarray, n: int):
+    """``solver(mat)``, reporting a failed solve as a numeric failure."""
     try:
-        return np.linalg.eigh(mat)
+        return solver(mat)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigen-solver failed on photon block N={n}") from exc
 
 
-def _sqrt_psd(mat: np.ndarray, n: int) -> np.ndarray:
-    w, v = _eigh_block(mat, n)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+def mode_rotation_unitary(n: int) -> np.ndarray:
+    """Unitary mapping rotated-mode Fock states into the reference Fock basis.
+
+    Column k is the n-photon state with k photons in the rotated mode 1,
+    expressed in the reference Fock basis (index = photons in mode 1); the
+    rotation sends mode 0 to (a0 + a1)/sqrt2 and mode 1 to (a1 - a0)/sqrt2,
+    the 50/50 X<->Z mode change.  These states are the eigenvectors of the
+    rotated number operator n/2 - (a0'a1 + a1'a0)/2, tridiagonal in the
+    reference basis with the distinct eigenvalues k = 0..n.  Each column's
+    sign makes its last entry, sqrt(C(n, k) / 2^n), positive; the
+    single-photon block is [[1, -1], [1, 1]] / sqrt2.
+    """
+    if n < 0:
+        raise ValueError(f"photon number must be >= 0, got {n}")
+    i = np.arange(1, n + 1)
+    hop = -0.5 * np.sqrt(i * (n - i + 1.0))
+    number = np.diag(np.full(n + 1, 0.5 * n)) + np.diag(hop, 1) + np.diag(hop, -1)
+    _, vecs = _eigen(np.linalg.eigh, number, n)
+    return vecs * np.sign(vecs[-1])
 
 
-def _sandwich_pinv_sqrt(filt: np.ndarray, op: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """pinv(sqrt(filt)) @ op @ pinv(sqrt(filt)) and the completion I - support."""
-    w, v = _eigh_block(filt, n)
-    inv = np.where(w > EIGEN_TOL, 1.0 / np.sqrt(np.clip(w, EIGEN_TOL, None)), 0.0)
-    root_inv = (v * inv) @ v.T
-    support = (v * (w > EIGEN_TOL)) @ v.T
-    return root_inv @ op @ root_inv, np.eye(filt.shape[0]) - support
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
+def _x_basis(n: int) -> np.ndarray:
+    """kron(H, R): the common eigenbasis of the X-basis operators of block N."""
+    return np.kron(_HADAMARD, mode_rotation_unitary(n))
+
+
+def _pinv(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise pseudo-inverse of a spectrum, and the mask of its kernel."""
+    support = w > EIGEN_TOL
+    return np.divide(1.0, w, out=np.zeros_like(w), where=support), ~support
+
+
+def _block_spectra(n: int, eta, dc) -> dict[str, np.ndarray]:
+    """Eigenvalues of every operator of the N-photon block.
+
+    ``eta``/``dc`` order the four detectors as (Z0, Z1, X0, X1) along their
+    last axis; any leading axes (box points) are batched.  Each spectrum has
+    the batch shape plus (2(N+1),), indexed by Alice's bit (outer) and Bob's
+    photons in mode 1 (inner) of the operator's eigenbasis: the Fock basis
+    for ``*_Z`` and ``common_filter``, kron(H, R) for ``*_X``.
+    """
+    if n > MAX_BLOCK_PHOTONS:
+        raise ValueError(f"photon block N={n} exceeds the cutoff {MAX_BLOCK_PHOTONS}")
+    eta = np.asarray(eta, dtype=float)
+    dc = np.asarray(dc, dtype=float)
+    # NaN fails both comparisons, so it is rejected too.
+    if not (np.all((eta >= 0.0) & (eta <= 1.0)) and np.all((dc >= 0.0) & (dc <= 1.0))):
+        raise ValueError("efficiencies and dark-count rates must lie in [0, 1]")
+
+    f_n = 1.0 - (1.0 - dc.max(axis=-1)) ** 2 * (1.0 - eta.max(axis=-1)) ** n
+    common = np.repeat(f_n[..., None], 2 * (n + 1), axis=-1)
+    common_inv, common_kernel = _pinv(common)
+    spectra = {"common_filter": common}
+
+    photons1 = np.arange(n + 1)
+    for basis, k in (("Z", 0), ("X", 2)):
+        silent0 = (1.0 - dc[..., k, None]) * (1.0 - eta[..., k, None]) ** (n - photons1)
+        silent1 = (1.0 - dc[..., k + 1, None]) * (1.0 - eta[..., k + 1, None]) ** photons1
+        double = (1.0 - silent0) * (1.0 - silent1)
+        out0 = (1.0 - silent0) * silent1 + 0.5 * double
+        out1 = silent0 * (1.0 - silent1) + 0.5 * double
+        perp = silent0 * silent1
+        inconclusive = np.concatenate([perp, perp], axis=-1)
+        # An error is Alice's bit 0 with Bob's outcome 1, or bit 1 with 0.
+        error = np.concatenate([out1, out0], axis=-1)
+        match = np.concatenate([out0, out1], axis=-1)
+        conclusive = 1.0 - inconclusive
+        inv, kernel = _pinv(conclusive)
+        spectra[f"inconclusive_{basis}"] = inconclusive
+        spectra[f"error_{basis}"] = error
+        spectra[f"match_{basis}"] = match
+        spectra[f"conclusive_{basis}"] = conclusive
+        # Third-step outcomes: the conclusive filter's pinv-sqrt sandwich,
+        # completed on its kernel.
+        spectra[f"outcome_error_{basis}"] = error * inv
+        spectra[f"outcome_match_{basis}"] = match * inv + kernel
+        # Residual filter: the common filter's pinv-sqrt sandwich, completed.
+        spectra[f"residual_filter_{basis}"] = conclusive * common_inv + common_kernel
+    return spectra
+
+
+def _dense(spectrum: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis @ diag(spectrum) @ basis.T, batched over the leading axes."""
+    return (basis * spectrum[..., None, :]) @ basis.T
+
+
+def _filtered_x_errors(spectra: dict[str, np.ndarray], basis: np.ndarray):
+    """outcome_error_X between the square roots of the Z and of the X
+    residual filters.  The X filter shares the X eigenbasis; the Z filter is
+    diagonal in the Fock basis, so its root rescales rows and columns."""
+    g = spectra["outcome_error_X"]
+    root_z = np.sqrt(spectra["residual_filter_Z"])
+    after_z = root_z[..., :, None] * _dense(g, basis) * root_z[..., None, :]
+    after_x = _dense(spectra["residual_filter_X"] * g, basis)
+    return after_z, after_x
 
 
 @dataclass(frozen=True)
@@ -242,91 +283,30 @@ class PovmBlock:
     n_photons: int
     operators: dict[str, np.ndarray]
 
-    def deltas(self) -> tuple[float, float]:
-        return block_deltas(self)
-
-
-def _bob_diagonals(n: int, eta0: float, eta1: float, d0: float, d1: float):
-    """Diagonals of Bob's three POVM elements on the N-photon block, in the
-    Fock basis of the detectors' own modes (index = photons in mode 1)."""
-    n1 = np.arange(n + 1)
-    n0 = n - n1
-    silent0 = (1.0 - d0) * (1.0 - eta0) ** n0
-    silent1 = (1.0 - d1) * (1.0 - eta1) ** n1
-    perp = silent0 * silent1
-    double = (1.0 - silent0) * (1.0 - silent1)
-    out0 = (1.0 - silent0) * silent1 + 0.5 * double
-    out1 = silent0 * (1.0 - silent1) + 0.5 * double
-    return perp, out0, out1
-
-
-_ALICE = {
-    "Z": (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])),
-    "X": (0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]), 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])),
-}
-
 
 def build_block_povm(
     n: int,
     eta: tuple[float, float, float, float],
     dc: tuple[float, float, float, float],
-    max_photons: int = MAX_BLOCK_PHOTONS,
 ) -> PovmBlock:
-    """Construct every operator of the N-photon block.
+    """Construct every operator of the N-photon block as a dense matrix.
 
     ``eta``/``dc`` order the four detectors as (Z0, Z1, X0, X1).  Produces
     the raw joint POVM elements per basis, the conclusive filters, the
-    common filter (diagonal 1-(1-d_max)^2 (1-eta_max)^N), the residual
-    basis-dependent filters, the completed third-step outcome operators,
-    and the two sandwiched X-error operators whose distance defines delta1.
+    common filter (f_N I with f_N = 1-(1-d_max)^2 (1-eta_max)^N), the
+    residual basis-dependent filters, the completed third-step outcome
+    operators, and the two filtered X-error operators whose distance
+    defines delta1.  Each comes from its spectrum in its known eigenbasis.
     """
-    if n > max_photons:
-        raise ValueError(
-            f"photon block N={n} exceeds the configured cutoff {max_photons}"
-        )
-    if any(not 0.0 <= e <= 1.0 for e in eta) or any(not 0.0 <= d <= 1.0 for d in dc):
-        raise ValueError("efficiencies and dark-count rates must lie in [0, 1]")
-
-    dim = 2 * (n + 1)
-    eye = np.eye(dim)
-    rot = mode_rotation_unitary(n)
-
-    ops: dict[str, np.ndarray] = {}
-    for basis, (e0, e1, dd0, dd1) in (("Z", (*eta[:2], *dc[:2])), ("X", (*eta[2:], *dc[2:]))):
-        perp, out0, out1 = _bob_diagonals(n, e0, e1, dd0, dd1)
-        if basis == "Z":
-            bob_perp, bob0, bob1 = np.diag(perp), np.diag(out0), np.diag(out1)
-        else:
-            bob_perp = rot @ np.diag(perp) @ rot.T
-            bob0 = rot @ np.diag(out0) @ rot.T
-            bob1 = rot @ np.diag(out1) @ rot.T
-        a0, a1 = _ALICE[basis]
-        ops[f"inconclusive_{basis}"] = np.kron(np.eye(2), bob_perp)
-        ops[f"error_{basis}"] = np.kron(a0, bob1) + np.kron(a1, bob0)
-        ops[f"match_{basis}"] = np.kron(a0, bob0) + np.kron(a1, bob1)
-        ops[f"conclusive_{basis}"] = eye - ops[f"inconclusive_{basis}"]
-
-    f_n = 1.0 - (1.0 - max(dc)) ** 2 * (1.0 - max(eta)) ** n
-    ops["common_filter"] = f_n * eye
-
-    for basis in ("Z", "X"):
-        third_err, _ = _sandwich_pinv_sqrt(
-            ops[f"conclusive_{basis}"], ops[f"error_{basis}"], n
-        )
-        third_match, completion = _sandwich_pinv_sqrt(
-            ops[f"conclusive_{basis}"], ops[f"match_{basis}"], n
-        )
-        ops[f"outcome_error_{basis}"] = third_err
-        ops[f"outcome_match_{basis}"] = third_match + completion
-        residual, completion = _sandwich_pinv_sqrt(
-            ops["common_filter"], ops[f"conclusive_{basis}"], n
-        )
-        ops[f"residual_filter_{basis}"] = residual + completion
-
-    for basis in ("Z", "X"):
-        root = _sqrt_psd(ops[f"residual_filter_{basis}"], n)
-        ops[f"x_error_after_{basis}_filter"] = root @ ops["outcome_error_X"] @ root
-
+    spectra = _block_spectra(n, eta, dc)
+    basis = _x_basis(n)
+    ops = {
+        name: _dense(w, basis) if name.endswith("_X") else np.diag(w)
+        for name, w in spectra.items()
+    }
+    ops["x_error_after_Z_filter"], ops["x_error_after_X_filter"] = _filtered_x_errors(
+        spectra, basis
+    )
     return PovmBlock(n_photons=n, operators=ops)
 
 
@@ -339,61 +319,41 @@ def build_block_povms(
     return [build_block_povm(n, eta, dc) for n in range(n_max + 1)]
 
 
-def _spectral_norm(mat: np.ndarray, n: int) -> float:
-    w, _ = _eigh_block(mat, n)
-    return float(np.abs(w).max())
+def block_deltas(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block (delta1, delta2) contributions at a batch of parameter points.
 
-
-def block_deltas(block: PovmBlock) -> tuple[float, float]:
-    """Per-block (delta1, delta2) contributions."""
-    n = block.n_photons
-    diff = (
-        block.operators["x_error_after_Z_filter"]
-        - block.operators["x_error_after_X_filter"]
-    )
-    d1 = 2.0 * _spectral_norm(diff, n)
-    d2 = _spectral_norm(
-        np.eye(diff.shape[0]) - block.operators["residual_filter_Z"], n
-    )
+    ``eta``/``dc`` are as in ``_block_spectra``; both results have their
+    batch shape.  delta2 = ||I - residual_filter_Z|| needs no solve, the
+    filter being diagonal; delta1 = 2 ||x_error_after_Z_filter -
+    x_error_after_X_filter|| is one batched ``eigvalsh``.
+    """
+    spectra = _block_spectra(n, eta, dc)
+    after_z, after_x = _filtered_x_errors(spectra, _x_basis(n))
+    w = _eigen(np.linalg.eigvalsh, after_z - after_x, n)
+    d1 = 2.0 * np.abs(w).max(axis=-1)
+    d2 = np.abs(1.0 - spectra["residual_filter_Z"]).max(axis=-1)
     return d1, d2
 
 
-def _renormalized(
-    eta: tuple[float, float, float, float],
-) -> tuple[float, float, float, float]:
-    """Pull the common detector loss into the channel: scale by 1/max(eta)."""
-    top = max(eta)
-    if top <= 0.0:
-        return eta
-    return tuple(e / top for e in eta)
-
-
-def _box_points(spec: DetectorSpec, interior_samples: int, seed: int):
-    """Tolerance-box corners plus Latin-hypercube interior samples.
+def _box_points(spec: DetectorSpec, interior_samples: int, seed: int) -> np.ndarray:
+    """Tolerance-box corners plus Latin-hypercube interior samples, (P, 8).
 
     Eight axes: the four efficiencies and four dark-count rates.  Corners
     are where the analytic worst case lives; interior samples only guard
     against implementation error.
     """
-    eta_axis = sorted({spec.eta_min, spec.eta_max})
-    d_axis = sorted({spec.d_min, spec.d_max})
-    corners = [
-        (e[:4], e[4:])
-        for e in itertools.product(*([eta_axis] * 4 + [d_axis] * 4))
-    ]
-    points = list(corners)
-    if interior_samples > 0 and (len(eta_axis) > 1 or len(d_axis) > 1):
-        # Imported here: loading scipy.stats costs most of the package's
-        # import time, and only the oracle samples the box.
-        from scipy.stats import qmc
+    lo = np.array([spec.eta_min] * 4 + [spec.d_min] * 4)
+    hi = np.array([spec.eta_max] * 4 + [spec.d_max] * 4)
+    corners = np.array(list(itertools.product(*(sorted({a, b}) for a, b in zip(lo, hi)))))
+    if interior_samples <= 0 or np.all(lo == hi):
+        return corners
+    # Imported here: loading scipy.stats costs most of the package's import
+    # time, and only the oracle samples the box.
+    from scipy.stats import qmc
 
-        lo = np.array([spec.eta_min] * 4 + [spec.d_min] * 4)
-        hi = np.array([spec.eta_max] * 4 + [spec.d_max] * 4)
-        # Scaled by hand: qmc.scale rejects a flat axis (lo == hi).
-        u = qmc.LatinHypercube(d=8, seed=seed).random(interior_samples)
-        for row in lo + (hi - lo) * u:
-            points.append((tuple(row[:4]), tuple(row[4:])))
-    return points
+    # Scaled by hand: qmc.scale rejects a flat axis (lo == hi).
+    u = qmc.LatinHypercube(d=8, seed=seed).random(interior_samples)
+    return np.vstack([corners, lo + (hi - lo) * u])
 
 
 def oracle_deltas(
@@ -409,13 +369,16 @@ def oracle_deltas(
     (common loss belongs to the channel), matching the convention of the
     closed form.  The result never exceeds ``closed_form_deltas``.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= MAX_BLOCK_PHOTONS:
+        raise ValueError(f"n_max must lie in [1, {MAX_BLOCK_PHOTONS}], got {n_max}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    points = _box_points(spec, interior_samples, seed)
+    eta = points[:, :4] / points[:, :4].max(axis=1, keepdims=True)
+    dc = points[:, 4:]
     best1 = best2 = 0.0
-    for eta, dc in _box_points(spec, interior_samples, seed):
-        eta = _renormalized(eta)
-        for block in build_block_povms(n_max, eta, dc):
-            d1, d2 = block_deltas(block)
-            best1 = max(best1, d1)
-            best2 = max(best2, d2)
+    for n in range(n_max + 1):
+        d1, d2 = block_deltas(n, eta, dc)
+        best1 = max(best1, float(d1.max()))
+        best2 = max(best2, float(d2.max()))
     return DeltaPair(min(4.0, best1), min(1.0, best2))

@@ -424,9 +424,10 @@ def verify_decoy_hoeffding(cfg: TrialConfig, decoy: DecoyConfig | None = None) -
     with t the Hoeffding deviation at the eps_sq target.
     """
     decoy = decoy or DecoyConfig.reference()
-    cond = np.stack(
-        [intensity_given_photon(m, decoy) for m in range(cfg.photon_levels)]
-    )
+    try:
+        cond = np.stack([intensity_given_photon(m, decoy) for m in range(cfg.photon_levels)])
+    except ValueError as exc:
+        raise ValueError(f"photon_levels = {cfg.photon_levels} is too large: {exc}") from exc
     rng = _rng(cfg, "decoy")
     counts_m = _chain_visits(
         cfg.n, cfg.trials, cfg.photon_levels, cfg.markov_stay, cfg.constant_photons, rng

@@ -262,6 +262,29 @@ class TestErrorPaths:
         assert "constant_photons" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [(["--nmax", "0"], "n_max"), (["--nmax", "65"], "n_max"), (["--seed", "-1"], "seed")],
+    )
+    def test_out_of_range_delta_option(self, config_path, capsys, argv, field):
+        assert run_cli("delta", "--config", config_path, *argv) == 2
+        assert field in capsys.readouterr().err
+
+    def test_too_many_photon_levels(self, tmp_path, capsys):
+        # Above ~170 photons no intensity has a representable emission
+        # probability.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"verify": {"photon_levels": 400, "trials": 1000}}))
+        assert run_cli("verify", "--lemma", "decoy", "--config", str(path)) == 2
+        assert "photon_levels" in capsys.readouterr().err
+
+    def test_infinite_round_count(self, tmp_path, capsys):
+        cfg = dict(BASE_CONFIG, channel=dict(BASE_CONFIG["channel"], n_total=float("inf")))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("keyrate", "--config", str(path)) == 2
+        assert "n_total" in capsys.readouterr().err
+
 def test_console_entry_point(config_path):
     proc = subprocess.run(
         [sys.executable, "-m", "bb84mm.cli", "delta", "--config", config_path, "--nmax", "2"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bb84mm.detector_model import (
+    MAX_BLOCK_PHOTONS,
     DeltaPair,
     DetectorSpec,
     block_deltas,
@@ -53,21 +54,15 @@ class TestModeRotation:
         assert np.allclose(u, expect, atol=1e-14)
 
     def test_unitary(self):
-        for n in range(7):
+        for n in range(MAX_BLOCK_PHOTONS + 1):
             u = mode_rotation_unitary(n)
-            assert np.allclose(u @ u.T, np.eye(n + 1), atol=1e-12)
+            assert np.abs(u @ u.T - np.eye(n + 1)).max() <= 1e-13, n
 
     def test_matches_creation_operator_expansion(self):
         for n in range(6):
             u = mode_rotation_unitary(n)
             for k in range(n + 1):
                 assert np.allclose(u[:, k], rotated_state_oracle(n, k), atol=1e-12), (n, k)
-
-    def test_general_angle_single_photon(self):
-        beta = 0.73
-        u = mode_rotation_unitary(1, beta)
-        c, s = math.cos(beta / 2), math.sin(beta / 2)
-        assert np.allclose(u, [[c, -s], [s, c]], atol=1e-14)
 
 
 class TestDetectorSpec:
@@ -256,6 +251,56 @@ class TestOracleDeltas:
         assert 0.0 < oracle.delta1 <= closed.delta1 + 1e-12
         assert 0.0 < oracle.delta2 <= closed.delta2 + 1e-12
 
+    @pytest.mark.parametrize(
+        "args, kwargs, expect",
+        [
+            ((0.7, 1e-6, 0.01, 0.01), {}, (0.039603862376315226, 0.019801970401801317)),
+            ((0.7, 1e-6, 0.01, 0.0), {"n_max": 6, "interior_samples": 8},
+             (0.03960386138621763, 0.019801940594079248)),
+            ((0.7, 1e-6, 0.0, 0.01), {"n_max": 6, "interior_samples": 8},
+             (0.019801970401850166, 0.019801970401801317)),
+            ((0.7, 0.0, 0.01, 0.01), {"n_max": 6, "interior_samples": 8},
+             (0.039603960396040555, 0.01980198019801982)),
+            ((0.7, 1e-3, 0.05, 0.02), {"n_max": 6, "interior_samples": 8, "seed": 3},
+             (0.19000988958655363, 0.09505152003809536)),
+            ((0.9, 1e-5, 0.1, 0.5), {"n_max": 4, "interior_samples": 0},
+             (0.6666649999853087, 0.6666649999848948)),
+        ],
+        ids=["delta_defaults", "flat_dark_counts", "flat_efficiencies", "zero_dark_floor",
+             "wide_box", "corners_only"],
+    )
+    def test_pinned_values(self, args, kwargs, expect):
+        # Reference values from a dense eigen-solve of every block operator
+        # at each box point; the structured spectra must reproduce them.
+        d = oracle_deltas(DetectorSpec(*args), **kwargs)
+        assert d.delta1 == pytest.approx(expect[0], abs=1e-12)
+        assert d.delta2 == pytest.approx(expect[1], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"n_max": 0}, "n_max"), ({"n_max": MAX_BLOCK_PHOTONS + 1}, "n_max"),
+         ({"seed": -1}, "seed")],
+    )
+    def test_rejects_out_of_range_settings(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            oracle_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01), **kwargs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_deltas_match_dense_operators(self, seed):
+        # The batched spectra agree with the dense operators of
+        # build_block_povm, point by point.
+        rng = np.random.default_rng(40 + seed)
+        eta = rng.uniform(0.3, 1.0, (5, 4))
+        dc = rng.choice([0.0, 1e-6, 1e-3, 0.05], (5, 4))
+        for n in range(7):
+            d1, d2 = block_deltas(n, eta, dc)
+            for p in range(len(eta)):
+                ops = build_block_povm(n, tuple(eta[p]), tuple(dc[p])).operators
+                diff = ops["x_error_after_Z_filter"] - ops["x_error_after_X_filter"]
+                assert d1[p] == pytest.approx(2 * np.abs(np.linalg.eigvalsh(diff)).max(), abs=1e-12)
+                rest = np.eye(2 * (n + 1)) - ops["residual_filter_Z"]
+                assert d2[p] == pytest.approx(np.abs(np.linalg.eigvalsh(rest)).max(), abs=1e-12)
+
     def test_block_max_attained_at_corners(self):
         # Dense box sampling never beats the corner scan for N <= 3.
         spec = DetectorSpec(0.7, 1e-6, 0.01, 0.01)
@@ -267,16 +312,20 @@ class TestOracleDeltas:
     def test_block_contributions_decay_beyond_n1(self):
         # After pulling the common loss into the channel, the per-block
         # metrics peak at N = 1 (plus the vacuum dark-count block) and decay
-        # geometrically, so the default cutoff is insensitive.
+        # geometrically up to the photon cap, so the default cutoff is
+        # insensitive.
         spec = DetectorSpec(0.7, 1e-6, 0.01, 0.01)
         scale = 1.0 / spec.eta_max
         eta = (spec.eta_min * scale, spec.eta_min * scale, 1.0, 1.0)
         dc = (spec.d_min, spec.d_min, spec.d_max, spec.d_max)
-        per_block = [block_deltas(build_block_povm(n, eta, dc)) for n in range(9)]
-        d1s = [d1 for d1, _ in per_block]
+        per_block = [block_deltas(n, eta, dc) for n in range(MAX_BLOCK_PHOTONS + 1)]
+        d1s, d2s = ([float(x) for x in d] for d in zip(*per_block))
         assert max(d1s) == d1s[1]
-        assert all(a > b for a, b in zip(d1s[1:], d1s[2:]))
-        assert d1s[8] < 1e-10
+        for d in (d1s, d2s):
+            # Strictly decreasing from N = 1 until it reaches exact zero.
+            assert all(a > b or a == b == 0.0 for a, b in zip(d[1:], d[2:]))
+            assert d[8] < 1e-10
+            assert max(d[10:]) < 1e-15
         o4 = oracle_deltas(spec, n_max=4, interior_samples=0)
         o10 = oracle_deltas(spec, n_max=10, interior_samples=0)
         assert o10.delta1 == pytest.approx(o4.delta1, abs=1e-12)
@@ -295,7 +344,7 @@ class TestOracleDeltas:
             e_lo, e_hi = min(eta), max(eta)
             d_lo, d_hi = min(dc), max(dc)
             for n in range(1, 5):
-                d1, _ = block_deltas(build_block_povm(n, eta, dc))
+                d1, _ = block_deltas(n, eta, dc)
                 num = 1 - (1 - d_lo) ** 2 * (1 - e_lo) ** n
                 den = 1 - (1 - d_hi) ** 2 * (1 - e_hi) ** n
                 bound = 4 * abs(1 - math.sqrt(num / den))
@@ -336,9 +385,9 @@ class TestOracleDeltas:
         for n in range(4):
             corner_eta = (spec.eta_min * scale,) * 2 + (spec.eta_max * scale,) * 2
             corner_dc = (spec.d_min,) * 2 + (spec.d_max,) * 2
-            _, d2_corner = block_deltas(build_block_povm(n, corner_eta, corner_dc))
+            _, d2_corner = block_deltas(n, corner_eta, corner_dc)
             for _ in range(10):
                 eta = tuple(rng.uniform(spec.eta_min, spec.eta_max, 4) * scale)
                 dc = tuple(rng.uniform(spec.d_min, spec.d_max, 4))
-                _, d2 = block_deltas(build_block_povm(n, eta, dc))
+                _, d2 = block_deltas(n, eta, dc)
                 assert d2 <= d2_corner + 1e-9

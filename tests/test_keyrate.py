@@ -223,3 +223,41 @@ class TestKeyLengthDecoy:
             deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, tol, tol))
             lengths.append(key_length_decoy(obs, self.CFG, deltas, BUDGET).key_length)
         assert all(a >= b for a, b in zip(lengths, lengths[1:]))
+
+
+_VALID = {
+    DetectorSpec: {"eta_det": 0.7, "d_det": 1e-6},
+    DecoyConfig: {"intensities": (0.9, 0.1, 0.0), "probabilities": (1 / 3, 1 / 3, 1 / 3)},
+    ChannelSpec: {
+        "transmissivity": 0.1,
+        "misalignment_deg": 2.0,
+        "detector": DetectorSpec(0.7, 1e-6),
+        "n_total": 10**9,
+    },
+    EpsilonBudget: {},
+}
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (DetectorSpec, "eta_det", math.nan),
+        (DetectorSpec, "d_det", math.inf),
+        (DetectorSpec, "delta_eta", math.nan),
+        (DetectorSpec, "delta_dc", -math.inf),
+        (DecoyConfig, "intensities", (math.inf, 0.1, 0.0)),
+        (DecoyConfig, "intensities", (0.9, math.nan, 0.0)),
+        (DecoyConfig, "probabilities", (math.nan, 0.5, 0.5)),
+        (ChannelSpec, "transmissivity", math.nan),
+        (ChannelSpec, "misalignment_deg", math.nan),
+        (ChannelSpec, "misalignment_deg", math.inf),
+        (ChannelSpec, "n_total", math.inf),
+        (ChannelSpec, "n_total", math.nan),
+        (ChannelSpec, "p_z_test", math.nan),
+        (EpsilonBudget, "eps_pa", math.nan),
+        (EpsilonBudget, "eps_at_d", math.inf),
+    ],
+)
+def test_config_dataclasses_reject_non_finite_fields(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{**_VALID[cls], field: value})
