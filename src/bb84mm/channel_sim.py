@@ -1,26 +1,33 @@
 """Honest-channel statistics for the decoy protocol.
 
-Models a lossy channel with a fixed polarization misalignment feeding the
-threshold-detector setup.  Phase-randomized pulses are exact Poisson
-photon-number mixtures; each photon independently survives the channel and
-lands in the correct or rotated-off detector mode, so all click
-probabilities close over the Poisson mixture analytically:
+Models a lossy channel with a fixed polarization misalignment theta feeding
+two identical threshold detectors (efficiency eta_det, dark-count
+probability d).  Each source photon independently survives the channel and
+is detected in the correct or the rotated-off mode with probability
 
-    P(detector silent | m photons) = (1 - d) (1 - eta_det eta_ch q)^m
-    E_m[...] = (1 - d) exp(-mu eta_det eta_ch q)
+    f_ok = eta_ch cos^2(theta) eta_det,   f_bad = eta_ch sin^2(theta) eta_det.
 
-``expected_observations`` returns exact expectation values (deterministic);
-``sample_observations`` draws a full protocol run by multinomial sampling
-over (intensity, source photon number, outcome class), optionally keeping
-the per-photon-number tags the decoy Monte Carlo tests need.
+One formula, ``_outcome_rates``, turns the probabilities that the modes
+stay silent into the (conclusive, error) probabilities of a matched-basis
+round; only the law of silence differs between its two uses:
+
+    exactly m source photons:   (1 - f)^m
+    Poisson intensity mu:       exp(-mu f)
+
+``expected_observations`` returns exact expectation values (Poisson law);
+``sample_observations`` draws a full protocol run in three aggregate
+multinomials over (intensity, source photon number, outcome class) with the
+fixed-m law, optionally keeping the per-photon-number tags the decoy Monte
+Carlo tests need.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc
 
 from bb84mm.decoy import DecoyConfig, Observations, photon_given_intensity
 from bb84mm.detector_model import DetectorSpec
@@ -33,11 +40,11 @@ __all__ = [
 ]
 
 # Source photon numbers above this are lumped into the top bucket; at
-# mu <= 1 the Poisson tail mass beyond 30 is < 1e-30.
+# mu <= 1 the Poisson tail mass beyond 30 is < 1e-34.
 PHOTON_CUTOFF = 30
-
-# Outcome classes of a single round, in sampling order.
-_CLASSES = ("x_err", "x_ok", "k", "z_test_err", "z_test_ok", "none")
+# Largest Poisson mass above PHOTON_CUTOFF the sampler accepts (reached
+# near mu = 4.7).
+MAX_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -100,79 +107,39 @@ class PhotonTags:
     """True per-source-photon-number counts for each tracked outcome class,
     summed over intensities.  Index = photon number."""
 
-    x: np.ndarray = field(default_factory=lambda: np.zeros(PHOTON_CUTOFF + 1))
-    x_err: np.ndarray = field(default_factory=lambda: np.zeros(PHOTON_CUTOFF + 1))
-    k: np.ndarray = field(default_factory=lambda: np.zeros(PHOTON_CUTOFF + 1))
+    x: np.ndarray
+    x_err: np.ndarray
+    k: np.ndarray
 
 
-def _conclusive_and_error(
-    silent_corr: float,
-    silent_wrong: float,
-    both_silent_mult: float,
-    d_corr: float,
-    d_wrong: float,
-) -> tuple[float, float]:
-    """Conclusive and error probabilities for one Alice bit.
+def _outcome_rates(silent_ok, silent_bad, silent_both, d):
+    """(conclusive, error) probabilities of a matched-basis round,
+    elementwise on scalars and arrays.
 
-    ``silent_corr``/``silent_wrong`` are the per-detector no-fire
-    probabilities excluding dark counts; ``both_silent_mult`` is the joint
-    no-fire probability (the mode occupations are independent only under
-    Poisson splitting, so the joint term is supplied separately).  Double
-    clicks contribute half their weight to the error.
+    ``silent_ok``/``silent_bad``: no photon detected in the correct / the
+    wrong detector's mode; ``silent_both``: in neither (the modes are
+    independent only under Poisson splitting, so it is supplied
+    separately); ``d``: each detector's dark-count probability.  Double
+    clicks count half as errors.  The error is clipped to [0, conclusive]:
+    at zero misalignment and zero dark counts it rounds to about -5e-17.
     """
-    s_corr = (1.0 - d_corr) * silent_corr
-    s_wrong = (1.0 - d_wrong) * silent_wrong
-    both_silent = (1.0 - d_corr) * (1.0 - d_wrong) * both_silent_mult
+    s_ok = (1.0 - d) * silent_ok
+    s_bad = (1.0 - d) * silent_bad
+    both_silent = (1.0 - d) * (1.0 - d) * silent_both
     conclusive = 1.0 - both_silent
-    only_wrong_fires = s_corr - both_silent
-    double = 1.0 - s_corr - s_wrong + both_silent
-    error = only_wrong_fires + 0.5 * double
-    return conclusive, error
+    error = (s_ok - both_silent) + 0.5 * (1.0 - s_ok - s_bad + both_silent)
+    return conclusive, np.clip(error, 0.0, conclusive)
 
 
-def _basis_stats_poisson(
-    mu: float, eta_ch: float, theta: float, eta0: float, eta1: float, d0: float, d1: float
-) -> tuple[float, float]:
-    """(conclusive, error) probabilities for matched-basis rounds at
-    intensity mu, averaged over Alice's bit."""
-    q_ok = math.cos(theta) ** 2
-    q_bad = math.sin(theta) ** 2
-    totals = np.zeros(2)
-    for bit in (0, 1):
-        eta_corr, eta_wrong = (eta0, eta1) if bit == 0 else (eta1, eta0)
-        d_corr, d_wrong = (d0, d1) if bit == 0 else (d1, d0)
-        fire_corr = eta_ch * q_ok * eta_corr
-        fire_wrong = eta_ch * q_bad * eta_wrong
-        totals += _conclusive_and_error(
-            math.exp(-mu * fire_corr),
-            math.exp(-mu * fire_wrong),
-            math.exp(-mu * (fire_corr + fire_wrong)),
-            d_corr,
-            d_wrong,
-        )
-    return totals[0] / 2.0, totals[1] / 2.0
-
-
-def _basis_stats_fixed_m(
-    m: int, eta_ch: float, theta: float, eta0: float, eta1: float, d0: float, d1: float
-) -> tuple[float, float]:
-    """(conclusive, error) probabilities given exactly m source photons."""
-    q_ok = math.cos(theta) ** 2
-    q_bad = math.sin(theta) ** 2
-    totals = np.zeros(2)
-    for bit in (0, 1):
-        eta_corr, eta_wrong = (eta0, eta1) if bit == 0 else (eta1, eta0)
-        d_corr, d_wrong = (d0, d1) if bit == 0 else (d1, d0)
-        fire_corr = eta_ch * q_ok * eta_corr
-        fire_wrong = eta_ch * q_bad * eta_wrong
-        totals += _conclusive_and_error(
-            (1.0 - fire_corr) ** m,
-            (1.0 - fire_wrong) ** m,
-            (1.0 - fire_corr - fire_wrong) ** m,
-            d_corr,
-            d_wrong,
-        )
-    return totals[0] / 2.0, totals[1] / 2.0
+def _detection_probs(ch: ChannelSpec) -> tuple[float, float]:
+    """Probabilities that one source photon is detected in the correct and
+    in the wrong detector's mode (channel, misalignment, efficiency)."""
+    theta = math.radians(ch.misalignment_deg)
+    eta = ch.detector.eta_det
+    return (
+        ch.transmissivity * math.cos(theta) ** 2 * eta,
+        ch.transmissivity * math.sin(theta) ** 2 * eta,
+    )
 
 
 def expected_observations(ch: ChannelSpec, cfg: DecoyConfig) -> Observations:
@@ -180,16 +147,15 @@ def expected_observations(ch: ChannelSpec, cfg: DecoyConfig) -> Observations:
 
     Per-intensity X counts and error rates; key counts exclude the sampled
     test fraction; the key-basis error estimate pools all intensities.
+    Both bases share the click statistics: the honest detectors are
+    identical.
     """
-    det = ch.detector
-    theta = math.radians(ch.misalignment_deg)
+    f_ok, f_bad = _detection_probs(ch)
     n_x, n_k, e_x = [], [], []
     z_err_w = z_con_w = 0.0
     for mu, p_mu in zip(cfg.intensities, cfg.probabilities):
-        # honest detectors are identical, so both bases share the stats
-        con, err = _basis_stats_poisson(
-            mu, ch.transmissivity, theta, det.eta_det, det.eta_det, det.d_det, det.d_det
-        )
+        silent = (math.exp(-mu * f_ok), math.exp(-mu * f_bad), math.exp(-mu * (f_ok + f_bad)))
+        con, err = map(float, _outcome_rates(*silent, ch.detector.d_det))
         n_x.append(ch.n_total * p_mu * ch.p_x_alice * ch.p_x_bob * con)
         e_x.append(err / con if con > 0 else 0.0)
         n_k.append(ch.n_total * p_mu * ch.p_z_alice * ch.p_z_bob * con * (1.0 - ch.p_z_test))
@@ -199,28 +165,43 @@ def expected_observations(ch: ChannelSpec, cfg: DecoyConfig) -> Observations:
     return Observations(n_x=tuple(n_x), n_k=tuple(n_k), e_x=tuple(e_x), e_z=e_z)
 
 
-def _class_probs(ch: ChannelSpec, m: int) -> np.ndarray:
-    """Per-round outcome-class probabilities given m source photons."""
-    det = ch.detector
-    theta = math.radians(ch.misalignment_deg)
-    con_x, err_x = _basis_stats_fixed_m(
-        m, ch.transmissivity, theta, det.eta_det, det.eta_det, det.d_det, det.d_det
+def _class_table(ch: ChannelSpec) -> np.ndarray:
+    """Outcome-class probabilities of one round given m source photons,
+    shape (PHOTON_CUTOFF + 1, 6); the classes are X error, X correct, key,
+    key-basis test error, key-basis test correct, and none of these."""
+    f_ok, f_bad = _detection_probs(ch)
+    m = np.arange(PHOTON_CUTOFF + 1)
+    con, err = _outcome_rates(
+        (1.0 - f_ok) ** m, (1.0 - f_bad) ** m, (1.0 - f_ok - f_bad) ** m, ch.detector.d_det
     )
-    con_z, err_z = con_x, err_x  # honest detectors are basis-symmetric
     px = ch.p_x_alice * ch.p_x_bob
     pz = ch.p_z_alice * ch.p_z_bob
-    probs = np.array(
+    table = np.stack(
         [
-            px * err_x,
-            px * (con_x - err_x),
-            pz * con_z * (1.0 - ch.p_z_test),
-            pz * err_z * ch.p_z_test,
-            pz * (con_z - err_z) * ch.p_z_test,
-            0.0,
-        ]
+            px * err,
+            px * (con - err),
+            pz * con * (1.0 - ch.p_z_test),
+            pz * err * ch.p_z_test,
+            pz * (con - err) * ch.p_z_test,
+        ],
+        axis=1,
     )
-    probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
-    return probs
+    return np.column_stack([table, np.maximum(0.0, 1.0 - table.sum(axis=1))])
+
+
+def _photon_pmf(cfg: DecoyConfig) -> np.ndarray:
+    """Source photon-number pmf of each intensity, shape (3, PHOTON_CUTOFF + 1);
+    the top bucket takes the Poisson tail."""
+    if gammainc(PHOTON_CUTOFF + 1, max(cfg.intensities)) > MAX_TAIL:
+        raise ValueError(
+            f"intensities must put at most {MAX_TAIL:g} Poisson mass above "
+            f"{PHOTON_CUTOFF} photons, got {cfg.intensities}"
+        )
+    pmf = np.array(
+        [[photon_given_intensity(m, mu) for m in range(PHOTON_CUTOFF + 1)] for mu in cfg.intensities]
+    )
+    pmf[:, -1] += np.maximum(0.0, 1.0 - pmf.sum(axis=1))
+    return pmf
 
 
 def sample_observations(
@@ -231,47 +212,37 @@ def sample_observations(
 ) -> Observations | tuple[Observations, PhotonTags]:
     """One sampled protocol run, deterministic given the seed.
 
-    Sampling is streamed through aggregate multinomials -- intensities,
-    then source photon numbers, then outcome classes -- so arbitrarily
-    large n_total costs O(intensities * photon cutoff) memory.  With
-    ``with_tags`` the true per-photon-number counts of the X, X-error and
-    key classes are returned alongside (these are unobservable in a real
-    run; the decoy validation tests need them).
+    Three aggregate multinomial draws: the rounds over intensities, each
+    intensity's rounds over source photon numbers, and each (intensity,
+    photon number) cell over the outcome classes of ``_class_table``, one
+    table for both bases.  Memory is O(intensities * PHOTON_CUTOFF) for
+    any n_total up to the int64 maximum.  Photon numbers above
+    PHOTON_CUTOFF share the top bucket, so intensities with more Poisson
+    mass there than MAX_TAIL are rejected.  With ``with_tags`` the true
+    per-photon-number counts of the X, X-error and key classes are returned
+    alongside (unobservable in a real run; the decoy validation tests need
+    them).
     """
+    if ch.n_total > np.iinfo(np.int64).max:
+        raise ValueError(f"n_total must be at most {np.iinfo(np.int64).max} to sample, got {ch.n_total}")
+    pmf = _photon_pmf(cfg)
     rng = np.random.default_rng(seed)
     per_intensity = rng.multinomial(ch.n_total, cfg.probabilities)
+    per_photon = rng.multinomial(per_intensity, pmf)
+    counts = rng.multinomial(per_photon, _class_table(ch)).astype(float)
 
-    class_probs = np.stack([_class_probs(ch, m) for m in range(PHOTON_CUTOFF + 1)])
-    tags = PhotonTags()
-    x_err = np.zeros(3)
-    x_ok = np.zeros(3)
-    k = np.zeros(3)
-    z_test_err = z_test_tot = 0.0
-
-    for idx, (mu, n_mu) in enumerate(zip(cfg.intensities, per_intensity)):
-        pmf = np.array([photon_given_intensity(m, mu) for m in range(PHOTON_CUTOFF + 1)])
-        pmf[-1] += max(0.0, 1.0 - pmf.sum())
-        per_photon = rng.multinomial(int(n_mu), pmf)
-        for m, n_m in enumerate(per_photon):
-            if n_m == 0:
-                continue
-            counts = rng.multinomial(int(n_m), class_probs[m])
-            x_err[idx] += counts[0]
-            x_ok[idx] += counts[1]
-            k[idx] += counts[2]
-            z_test_err += counts[3]
-            z_test_tot += counts[3] + counts[4]
-            if with_tags:
-                tags.x[m] += counts[0] + counts[1]
-                tags.x_err[m] += counts[0]
-                tags.k[m] += counts[2]
-
-    n_x = x_err + x_ok
-    e_x = np.divide(x_err, n_x, out=np.zeros(3), where=n_x > 0)
+    per_class = counts.sum(axis=1)
+    n_x = per_class[:, :2].sum(axis=1)
+    e_x = np.divide(per_class[:, 0], n_x, out=np.zeros(3), where=n_x > 0)
+    z_err, z_test = per_class[:, 3].sum(), per_class[:, 3:5].sum()
     obs = Observations(
-        n_x=tuple(n_x),
-        n_k=tuple(k),
-        e_x=tuple(e_x),
-        e_z=z_test_err / z_test_tot if z_test_tot > 0 else 0.0,
+        n_x=tuple(n_x.tolist()),
+        n_k=tuple(per_class[:, 2].tolist()),
+        e_x=tuple(e_x.tolist()),
+        e_z=float(z_err / z_test) if z_test > 0 else 0.0,
     )
-    return (obs, tags) if with_tags else obs
+    if not with_tags:
+        return obs
+    by_photon = counts.sum(axis=0)
+    tags = PhotonTags(x=by_photon[:, 0] + by_photon[:, 1], x_err=by_photon[:, 0], k=by_photon[:, 2])
+    return obs, tags

@@ -296,7 +296,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         obs = expected_observations(ch, decoy_cfg)
         mode = "expected"
     else:
-        obs = sample_observations(ch, decoy_cfg, seed=args.seed)
+        try:
+            obs = sample_observations(ch, decoy_cfg, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"simulate: {exc}") from exc
         mode = "sampled"
     _emit_json(
         {

@@ -93,6 +93,11 @@ class OutcomeCounts:
         return sum(self.counts)
 
 
+def _snap_to_integer(v: float) -> float:
+    r = round(v)
+    return float(r) if abs(v - r) <= 2 * math.ulp(r) else v
+
+
 @dataclass(frozen=True)
 class Observations:
     """Full per-intensity observation record of one protocol run.
@@ -117,8 +122,13 @@ class Observations:
 
     @property
     def n_x_err(self) -> tuple[float, float, float]:
-        """Per-intensity counts of X-basis conclusive rounds with an error."""
-        return tuple(n * e for n, e in zip(self.n_x, self.e_x))
+        """Per-intensity counts of X-basis conclusive rounds with an error.
+
+        n * e within two ulps of an integer is that integer: a run's error
+        count k comes back exactly from e = k / n, where n * e can fall an
+        ulp short of k (and below a decoy bound clamped at the class total).
+        """
+        return tuple(_snap_to_integer(n * e) for n, e in zip(self.n_x, self.e_x))
 
     def counts_x(self) -> OutcomeCounts:
         return OutcomeCounts(tuple(self.n_x))
@@ -216,6 +226,6 @@ def single_photon_interval(
     Statistically inconsistent counts can cross the clamped bounds; the
     flag (never an exception) tells callers to force a zero-length key.
     """
-    lo = bound_single_lower(counts, cfg, eps_sq)
-    hi = bound_single_upper(counts, cfg, eps_sq)
+    lo = float(bound_single_lower(counts, cfg, eps_sq))
+    hi = float(bound_single_upper(counts, cfg, eps_sq))
     return lo, hi, lo <= hi

@@ -340,19 +340,18 @@ def _box_points(spec: DetectorSpec, interior_samples: int, seed: int) -> np.ndar
 
     Eight axes: the four efficiencies and four dark-count rates.  Corners
     are where the analytic worst case lives; interior samples only guard
-    against implementation error.
+    against implementation error.  Each axis is cut into
+    ``interior_samples`` strata, visited in an independent random order
+    with a uniform jitter inside each stratum.
     """
     lo = np.array([spec.eta_min] * 4 + [spec.d_min] * 4)
     hi = np.array([spec.eta_max] * 4 + [spec.d_max] * 4)
     corners = np.array(list(itertools.product(*(sorted({a, b}) for a, b in zip(lo, hi)))))
     if interior_samples <= 0 or np.all(lo == hi):
         return corners
-    # Imported here: loading scipy.stats costs most of the package's import
-    # time, and only the oracle samples the box.
-    from scipy.stats import qmc
-
-    # Scaled by hand: qmc.scale rejects a flat axis (lo == hi).
-    u = qmc.LatinHypercube(d=8, seed=seed).random(interior_samples)
+    rng = np.random.default_rng(seed)
+    strata = rng.permuted(np.tile(np.arange(interior_samples), (8, 1)), axis=1).T
+    u = (strata + rng.random((interior_samples, 8))) / interior_samples
     return np.vstack([corners, lo + (hi - lo) * u])
 
 

@@ -9,17 +9,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bb84mm.channel_sim import (
     ChannelSpec,
     PHOTON_CUTOFF,
-    _basis_stats_fixed_m,
-    _basis_stats_poisson,
-    _class_probs,
+    _class_table,
+    _detection_probs,
+    _outcome_rates,
+    _photon_pmf,
     expected_observations,
     sample_observations,
 )
-from bb84mm.decoy import DecoyConfig, photon_given_intensity
+from bb84mm.decoy import (
+    DecoyConfig,
+    bound_single_lower,
+    bound_single_upper,
+    bound_vacuum_lower,
+    photon_given_intensity,
+)
 from bb84mm.detector_model import DetectorSpec
 
 
@@ -47,13 +56,25 @@ def outcome_probs_oracle(mu, eta_ch, theta_rad, eta_det, d_det, m_max=20):
 REF_DET = DetectorSpec(eta_det=0.7, d_det=1e-6)
 
 
+def channel(eta_ch, theta_deg, eta_det=0.7, d_det=1e-6, n_total=10**6):
+    return ChannelSpec(eta_ch, theta_deg, DetectorSpec(eta_det=eta_det, d_det=d_det), n_total)
+
+
+def poisson_rates(mu, ch):
+    """(conclusive, error) at intensity mu under the Poisson silence law."""
+    f_ok, f_bad = _detection_probs(ch)
+    return _outcome_rates(
+        math.exp(-mu * f_ok), math.exp(-mu * f_bad), math.exp(-mu * (f_ok + f_bad)), ch.detector.d_det
+    )
+
+
 class TestExpectedObservations:
     def test_against_enumeration_oracle(self):
         eta_ch = 10 ** (-1.0)  # 10 dB
         theta = math.radians(2.0)
         for mu in (0.9, 0.1, 0.0):
             con_o, err_o = outcome_probs_oracle(mu, eta_ch, theta, 0.7, 1e-6)
-            con, err = _basis_stats_poisson(mu, eta_ch, theta, 0.7, 0.7, 1e-6, 1e-6)
+            con, err = poisson_rates(mu, channel(eta_ch, 2.0))
             assert con == pytest.approx(con_o, rel=1e-10)
             assert err == pytest.approx(err_o, rel=1e-10)
 
@@ -74,14 +95,22 @@ class TestExpectedObservations:
 
     def test_lossless_noiseless_limit(self):
         mu = 0.5
-        con, err = _basis_stats_poisson(mu, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+        con, err = poisson_rates(mu, channel(1.0, 0.0, eta_det=1.0, d_det=0.0))
         assert err == pytest.approx(0.0, abs=1e-15)
         assert con == pytest.approx(1.0 - math.exp(-mu), rel=1e-12)
 
     def test_dark_counts_only_gives_half_error_rate(self):
         # Vanishing transmission: clicks are dark-count driven, bits random.
-        con, err = _basis_stats_poisson(0.9, 1e-12, 0.0, 0.7, 0.7, 1e-4, 1e-4)
+        con, err = poisson_rates(0.9, channel(1e-12, 0.0, d_det=1e-4))
         assert err / con == pytest.approx(0.5, abs=1e-6)
+
+    def test_aligned_dark_free_channel_has_zero_error(self):
+        # The error rate rounds to -5e-17 here unless clipped, which
+        # Observations rejects; the class table would hold negative entries.
+        ch = channel(10**-0.1, 0.0, eta_det=1.0, d_det=0.0)
+        obs = expected_observations(ch, DecoyConfig((1.0, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)))
+        assert obs.e_x == (0.0, 0.0, 0.0) and obs.e_z == 0.0
+        assert _class_table(ch).min() == 0.0
 
     def test_counts_scale_linearly_in_n_total(self):
         cfg = DecoyConfig.reference()
@@ -94,37 +123,43 @@ class TestExpectedObservations:
     def test_misalignment_mirror_symmetry(self):
         # theta and 90 - theta swap the roles of error and no-error.
         for theta in (2.0, 10.0, 27.0):
-            c1, e1 = _basis_stats_poisson(
-                0.9, 0.1, math.radians(theta), 0.7, 0.7, 1e-6, 1e-6
-            )
-            c2, e2 = _basis_stats_poisson(
-                0.9, 0.1, math.radians(90.0 - theta), 0.7, 0.7, 1e-6, 1e-6
-            )
+            c1, e1 = poisson_rates(0.9, channel(0.1, theta))
+            c2, e2 = poisson_rates(0.9, channel(0.1, 90.0 - theta))
             assert c1 == pytest.approx(c2, rel=1e-12)
             assert e2 == pytest.approx(c1 - e1, rel=1e-10)
 
 
 class TestClassProbabilities:
     def test_rows_sum_to_one(self):
-        ch = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
-        for m in range(PHOTON_CUTOFF + 1):
-            p = _class_probs(ch, m)
-            assert p.min() >= 0.0
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        table = _class_table(ChannelSpec.reference(loss_db=10.0, n_total=10**6))
+        assert table.shape == (PHOTON_CUTOFF + 1, 6)
+        assert table.min() >= 0.0
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_fixed_m_matches_poisson_mixture(self):
-        # Mixing the fixed-m stats over the Poisson pmf reproduces the
-        # closed-form intensity stats.
-        mu, eta_ch, theta = 0.9, 0.1, math.radians(2.0)
-        mix_con = mix_err = 0.0
-        for m in range(PHOTON_CUTOFF + 1):
-            w = photon_given_intensity(m, mu)
-            con, err = _basis_stats_fixed_m(m, eta_ch, theta, 0.7, 0.7, 1e-6, 1e-6)
-            mix_con += w * con
-            mix_err += w * err
-        con, err = _basis_stats_poisson(mu, eta_ch, theta, 0.7, 0.7, 1e-6, 1e-6)
-        assert mix_con == pytest.approx(con, rel=1e-12)
-        assert mix_err == pytest.approx(err, rel=1e-12)
+    @settings(max_examples=200)
+    @given(
+        loss_db=st.floats(0.0, 60.0),
+        theta=st.floats(0.0, 45.0),
+        eta_det=st.floats(0.0, 1.0, exclude_min=True),
+        d_det=st.floats(0.0, 1e-3),
+        mu=st.floats(0.0, 1.0),
+    )
+    def test_fixed_m_matches_poisson_mixture(self, loss_db, theta, eta_det, d_det, mu):
+        # Mixing the fixed-m table over the Poisson pmf reproduces the
+        # closed-form intensity stats.  Both sides subtract from 1 (the
+        # conclusive rate is 1 - both_silent), so each carries an absolute
+        # rounding error of a few 1e-17; at high loss that is far above
+        # 1e-12 of the smallest class probabilities, hence the absolute floor.
+        ch = channel(10.0 ** (-loss_db / 10.0), theta, eta_det, d_det)
+        table = _class_table(ch)
+        assert table.min() >= 0.0
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+        pmf = np.array([photon_given_intensity(m, mu) for m in range(PHOTON_CUTOFF + 1)])
+        con, err = poisson_rates(mu, ch)
+        px, pz, pt = ch.p_x_alice * ch.p_x_bob, ch.p_z_alice * ch.p_z_bob, ch.p_z_test
+        closed = [px * err, px * (con - err), pz * con * (1 - pt), pz * err * pt, pz * (con - err) * pt]
+        assert list(pmf @ table[:, :5]) == pytest.approx(closed, rel=1e-12, abs=1e-16)
 
 
 class TestSampleObservations:
@@ -134,6 +169,7 @@ class TestSampleObservations:
         a = sample_observations(ch, cfg, seed=42)
         b = sample_observations(ch, cfg, seed=42)
         assert a == b
+        assert all(type(v) is float for v in (*a.n_x, *a.n_k, *a.e_x, a.e_z))
         c = sample_observations(ch, cfg, seed=43)
         assert a != c
 
@@ -157,6 +193,35 @@ class TestSampleObservations:
         assert all(e == 0.0 for e in obs.e_x)
         assert obs.e_z == 0.0
 
+    def test_rejects_intensities_beyond_the_photon_cutoff(self):
+        # mu1 = 20 puts 1.3 % of its mass above the top photon bucket.
+        ch = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
+        assert sample_observations(ch, DecoyConfig((4.7, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)), seed=0)
+        for mu1 in (4.8, 20.0):
+            with pytest.raises(ValueError, match="intensities"):
+                sample_observations(ch, DecoyConfig((mu1, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)), seed=0)
+
+    def test_rejects_n_total_beyond_int64(self):
+        cfg = DecoyConfig.reference()
+        assert sample_observations(ChannelSpec.reference(10.0, n_total=2**63 - 1), cfg, seed=0)
+        with pytest.raises(ValueError, match="n_total"):
+            sample_observations(ChannelSpec.reference(10.0, n_total=2**63), cfg, seed=0)
+
+    def test_mean_tags_match_the_model(self):
+        # Each tag cell is marginally Binomial(n_total, q) with
+        # q = sum_mu p_mu pmf_mu(m) table[m, class]; its mean over 200 seeds
+        # must lie within 5 standard errors.
+        ch = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
+        cfg = DecoyConfig.reference()
+        runs = 200
+        tags = [sample_observations(ch, cfg, seed=s, with_tags=True)[1] for s in range(runs)]
+        weights = np.asarray(cfg.probabilities) @ _photon_pmf(cfg)[:, :4]
+        q = weights[:, None] * _class_table(ch)[:4]
+        for name, cells in (("x", q[:, 0] + q[:, 1]), ("x_err", q[:, 0]), ("k", q[:, 2])):
+            mean = np.mean([getattr(t, name)[:4] for t in tags], axis=0)
+            se = np.sqrt(ch.n_total * cells * (1 - cells) / runs)
+            assert np.all(np.abs(mean - ch.n_total * cells) <= 5 * se), (name, mean, ch.n_total * cells)
+
     def test_tags_account_for_class_totals(self):
         ch = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
         cfg = DecoyConfig.reference()
@@ -178,3 +243,31 @@ def test_channel_spec_validation():
             p_z_alice=0.7,
             p_x_alice=0.7,
         )
+
+
+@st.composite
+def decoy_configs(draw):
+    """Random valid intensities mu1 > mu2 + mu3, mu2 > mu3 >= 0, mu1 <= 1."""
+    mu1 = draw(st.floats(0.05, 1.0))
+    mu2 = mu1 * draw(st.floats(0.01, 0.99))
+    mu3 = min(mu2, mu1 - mu2) * draw(st.floats(0.0, 0.99))
+    assume(mu1 > mu2 + mu3 and mu2 > mu3)
+    return DecoyConfig((mu1, mu2, mu3), (1 / 3, 1 / 3, 1 / 3))
+
+
+@settings(max_examples=200)
+@given(
+    loss_db=st.floats(0.0, 60.0),
+    cfg=decoy_configs(),
+    n_total=st.integers(10**6, 10**12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decoy_sandwich_on_tagged_runs(loss_db, cfg, n_total, seed):
+    # Lim et al., PRA 89, 022307 (2014): the three-intensity bounds contain
+    # the true vacuum and one-photon counts of every class (budget 9 eps^2
+    # at eps = 1e-12 predicts no miss).
+    ch = ChannelSpec.reference(loss_db=loss_db, n_total=n_total)
+    obs, tags = sample_observations(ch, cfg, seed=seed, with_tags=True)
+    for counts, tag in ((obs.counts_x(), tags.x), (obs.counts_x_err(), tags.x_err), (obs.counts_k(), tags.k)):
+        assert bound_vacuum_lower(counts, cfg, 1e-24) <= tag[0]
+        assert bound_single_lower(counts, cfg, 1e-24) <= tag[1] <= bound_single_upper(counts, cfg, 1e-24)

@@ -285,6 +285,21 @@ class TestErrorPaths:
         assert run_cli("keyrate", "--config", str(path)) == 2
         assert "n_total" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [("decoy", {"intensities": [20.0, 0.1, 0.0]}, "intensities"), ("channel", {"n_total": 1e19}, "n_total")],
+    )
+    def test_unsampleable_simulate_input(self, tmp_path, capsys, section, value, field):
+        # The sampler lumps photon numbers above its cutoff and draws int64
+        # counts; expectations need neither.
+        cfg = dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **value)})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(path), "--seed", "1") == 2
+        assert field in capsys.readouterr().err
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "obs.json")) == 0
+
+
 def test_console_entry_point(config_path):
     proc = subprocess.run(
         [sys.executable, "-m", "bb84mm.cli", "delta", "--config", config_path, "--nmax", "2"],
@@ -296,11 +311,14 @@ def test_console_entry_point(config_path):
     assert "closed_form" in payload
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bb84mm.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
+def test_import_leaves_scipy_stats_unloaded(config_path, tmp_path):
+    # Also through a `delta` run that samples a tolerance box's interior.
+    script = (
+        "import sys; from bb84mm import cli; "
+        f"cli.main(['delta', '--config', {config_path!r}, '--out', {str(tmp_path / 'delta.json')!r}]); "
+        "print('scipy.stats' in sys.modules)"
     )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    assert json.loads((tmp_path / "delta.json").read_text())["oracle"]["d1"] > 0

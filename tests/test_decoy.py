@@ -134,6 +134,7 @@ class TestAnalyticBounds:
         for _ in range(200):
             counts = OutcomeCounts(tuple(rng.integers(0, 10**7, 3).astype(float)))
             lo, hi, feasible = single_photon_interval(counts, CFG, 1e-12)
+            assert type(lo) is float and type(hi) is float and type(feasible) is bool
             assert 0.0 <= lo <= counts.total
             assert 0.0 <= hi <= counts.total
             assert feasible == (lo <= hi)
@@ -166,6 +167,10 @@ class TestObservations:
         obs = Observations(n_x=(100, 50, 10), n_k=(80, 40, 5), e_x=(0.1, 0.2, 0.5), e_z=0.01)
         assert obs.n_x_err == (10.0, 10.0, 5.0)
         assert obs.counts_x().total == 160
+        # An error count survives its rate although 49 * (1 / 49) is
+        # 0.9999999999999999; real-valued counts away from an integer stay.
+        obs = Observations(n_x=(49, 98, 10.5), n_k=(1, 1, 1), e_x=(1 / 49, 2 / 98, 0.3), e_z=0.0)
+        assert obs.n_x_err == (1.0, 2.0, 10.5 * 0.3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from bb84mm.detector_model import (
     build_block_povm,
     build_block_povms,
     closed_form_deltas,
+    _box_points,
     mode_rotation_unitary,
     oracle_deltas,
 )
@@ -284,6 +285,18 @@ class TestOracleDeltas:
     def test_rejects_out_of_range_settings(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             oracle_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01), **kwargs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interior_is_a_latin_hypercube(self, seed):
+        # Past the 256 corners, every axis hits each of its 16 strata once.
+        spec = DetectorSpec(0.7, 1e-6, 0.01, 0.02)
+        points = _box_points(spec, interior_samples=16, seed=seed)
+        assert points.shape == (256 + 16, 8)
+        lo = np.array([spec.eta_min] * 4 + [spec.d_min] * 4)
+        hi = np.array([spec.eta_max] * 4 + [spec.d_max] * 4)
+        strata = np.floor(16 * (points[256:] - lo) / (hi - lo)).astype(int)
+        for axis in strata.T:
+            assert sorted(axis) == list(range(16))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_block_deltas_match_dense_operators(self, seed):
