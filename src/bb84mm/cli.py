@@ -19,15 +19,14 @@ import sys
 from typing import Any
 
 from bb84mm.channel_sim import ChannelSpec, expected_observations, sample_observations
-from bb84mm.decoy import (
-    DecoyConfig,
-    Observations,
-    bound_single_lower,
-    bound_single_upper,
-    bound_vacuum_lower,
-)
+from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas, oracle_deltas
-from bb84mm.keyrate import EpsilonBudget, key_length_decoy, lambda_ec_default
+from bb84mm.keyrate import (
+    DEFAULT_EC_EFFICIENCY,
+    EpsilonBudget,
+    key_length_decoy,
+    lambda_ec_default,
+)
 from bb84mm.mc_verify import (
     TrialConfig,
     verify_decoy_hoeffding,
@@ -115,9 +114,11 @@ def _channel(cfg: dict, loss_db: float) -> ChannelSpec:
 
 def _f_ec(cfg: dict) -> float:
     sec = _section(cfg, "error_correction", required=False)
-    f_ec = sec.get("f_ec", 1.16)
-    if not isinstance(f_ec, (int, float)) or f_ec < 1.0:
-        raise ConfigError(f"error_correction.f_ec must be a number >= 1, got {f_ec!r}")
+    f_ec = sec.get("f_ec", DEFAULT_EC_EFFICIENCY)
+    try:
+        lambda_ec_default(0, 0.0, f_ec)  # validates f_ec
+    except ValueError as exc:
+        raise ConfigError(f"error_correction: {exc}") from exc
     return float(f_ec)
 
 
@@ -192,12 +193,9 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
     deltas = closed_form_deltas(detector)
     f_ec = _f_ec(cfg)
 
-    def lam(n_key: float, e_z: float) -> float:
-        return lambda_ec_default(n_key, e_z, f_ec)
-
     if args.observations:
         obs = _observations_from_file(args.observations)
-        decision = key_length_decoy(obs, decoy_cfg, deltas, budget, lambda_ec=lam)
+        decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
         _emit_json(
             {
                 "config": _resolved(cfg),
@@ -220,7 +218,7 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
     for loss in losses:
         ch = _channel(cfg, float(loss))
         obs = expected_observations(ch, decoy_cfg)
-        decision = key_length_decoy(obs, decoy_cfg, deltas, budget, lambda_ec=lam)
+        decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
         rate = decision.key_length / ch.n_total
         lines.append(
             ",".join(
@@ -267,12 +265,9 @@ def cmd_decoy(args: argparse.Namespace) -> int:
         "x_err": obs.counts_x_err(),
         "k": obs.counts_k(),
     }
+    names = ("vacuum_lower", "single_lower", "single_upper")
     bounds = {
-        name: {
-            "vacuum_lower": bound_vacuum_lower(counts, decoy_cfg, eps_d_sq),
-            "single_lower": bound_single_lower(counts, decoy_cfg, eps_d_sq),
-            "single_upper": bound_single_upper(counts, decoy_cfg, eps_d_sq),
-        }
+        name: dict(zip(names, decoy_bounds(counts, decoy_cfg, eps_d_sq)))
         for name, counts in classes.items()
     }
     _emit_json(

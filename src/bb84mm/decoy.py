@@ -6,12 +6,14 @@ per-photon-number counts.  After a Hoeffding correction on each observed
 count, algebra over the three intensities yields analytic bounds on the
 zero-photon and one-photon components:
 
-* ``bound_vacuum_lower``  -- lower bound on the zero-photon count,
-* ``bound_single_lower``  -- lower bound on the one-photon count,
-* ``bound_single_upper``  -- upper bound on the one-photon count.
+``decoy_bounds`` returns all three from one Hoeffding shift of the counts:
+a lower bound on the zero-photon count, and a lower and an upper bound on
+the one-photon count.  ``bound_vacuum_lower``, ``bound_single_lower`` and
+``bound_single_upper`` each pick one of them.
 
 All bounds are clamped to the physical range [0, n_O]; clamping a valid
-bound only tightens it.
+bound only tightens it.  Statistically inconsistent counts can cross the
+one-photon bounds (lower > upper); callers treat that as infeasible.
 """
 
 from __future__ import annotations
@@ -31,15 +33,11 @@ __all__ = [
     "tau",
     "intensity_given_photon",
     "shifted_counts",
+    "decoy_bounds",
     "bound_vacuum_lower",
     "bound_single_lower",
     "bound_single_upper",
 ]
-
-# Poisson series cutoff for tau normalization checks; at mu <= 1 the tail
-# beyond 50 is < 1e-15.
-TAU_CUTOFF = 50
-
 
 @dataclass(frozen=True)
 class DecoyConfig:
@@ -190,42 +188,38 @@ def shifted_counts(
     return plus, minus
 
 
+def decoy_bounds(
+    counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float
+) -> tuple[float, float, float]:
+    """(zero-photon lower, one-photon lower, one-photon upper) bounds on the
+    outcome class, from one Hoeffding shift of its per-intensity counts."""
+    mu1, mu2, mu3 = cfg.intensities
+    plus, minus = (v.tolist() for v in shifted_counts(counts, cfg, eps_sq))
+    tau0, tau1 = tau(0, cfg), tau(1, cfg)
+
+    def clamp(raw: float) -> float:
+        return float(min(counts.total, max(0.0, raw)))
+
+    vac = clamp(tau0 * (mu2 * minus[2] - mu3 * plus[1]) / (mu2 - mu3))
+    denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
+    single_lower = clamp(
+        (mu1 * tau1 / denom)
+        * (minus[1] - plus[2] - (mu2**2 - mu3**2) / mu1**2 * (plus[0] - vac / tau0))
+    )
+    single_upper = clamp(tau1 * (plus[1] - minus[2]) / (mu2 - mu3))
+    return vac, single_lower, single_upper
+
+
 def bound_vacuum_lower(counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float) -> float:
     """Lower bound on the zero-photon component of the outcome class."""
-    _, mu2, mu3 = cfg.intensities
-    plus, minus = shifted_counts(counts, cfg, eps_sq)
-    raw = tau(0, cfg) * (mu2 * minus[2] - mu3 * plus[1]) / (mu2 - mu3)
-    return min(counts.total, max(0.0, raw))
+    return decoy_bounds(counts, cfg, eps_sq)[0]
 
 
 def bound_single_lower(counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float) -> float:
     """Lower bound on the one-photon component of the outcome class."""
-    mu1, mu2, mu3 = cfg.intensities
-    plus, minus = shifted_counts(counts, cfg, eps_sq)
-    denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
-    vac = bound_vacuum_lower(counts, cfg, eps_sq)
-    raw = (mu1 * tau(1, cfg) / denom) * (
-        minus[1] - plus[2] - (mu2**2 - mu3**2) / mu1**2 * (plus[0] - vac / tau(0, cfg))
-    )
-    return min(counts.total, max(0.0, raw))
+    return decoy_bounds(counts, cfg, eps_sq)[1]
 
 
 def bound_single_upper(counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float) -> float:
     """Upper bound on the one-photon component of the outcome class."""
-    _, mu2, mu3 = cfg.intensities
-    plus, minus = shifted_counts(counts, cfg, eps_sq)
-    raw = tau(1, cfg) * (plus[1] - minus[2]) / (mu2 - mu3)
-    return min(counts.total, max(0.0, raw))
-
-
-def single_photon_interval(
-    counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float
-) -> tuple[float, float, bool]:
-    """(lower, upper, feasible) for the one-photon component.
-
-    Statistically inconsistent counts can cross the clamped bounds; the
-    flag (never an exception) tells callers to force a zero-length key.
-    """
-    lo = float(bound_single_lower(counts, cfg, eps_sq))
-    hi = float(bound_single_upper(counts, cfg, eps_sq))
-    return lo, hi, lo <= hi
+    return decoy_bounds(counts, cfg, eps_sq)[2]

@@ -1,20 +1,21 @@
 """Final key-length formulas and epsilon accounting.
 
 Variable-length decisions: every observation maps to a key length (aborting
-is length zero), with the error-correction allowance a pluggable function of
-the observations.  Lengths are in bits, logs base 2, and non-integer hash
-lengths are floored (conservative).
+is length zero), with the error-correction allowance f_ec * n_key * h(e_z)
+computed from the observations.  ``key_length_decoy`` composes the decoy
+bounds on the single-photon counts with the mismatch phase-error bound;
+both key-length functions end in the same formula.  Lengths are in bits,
+logs base 2, and non-integer hash lengths are floored (conservative).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from bb84mm.decoy import DecoyConfig, Observations
+from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
 from bb84mm.detector_model import DeltaPair
-from bb84mm.phase_error import PhaseErrorQuery, bound_decoy_composed, bound_mismatch
+from bb84mm.phase_error import PhaseErrorQuery, bound_mismatch
 
 __all__ = [
     "EpsilonBudget",
@@ -41,9 +42,10 @@ def binary_entropy(x: float) -> float:
 
 def lambda_ec_default(n_key: float, e_z: float, f_ec: float = DEFAULT_EC_EFFICIENCY) -> float:
     """Error-correction allowance f_ec * n_key * h(e_z)."""
-    if f_ec < 1.0:
-        raise ValueError(f"f_ec must be >= 1, got {f_ec}")
-    return f_ec * n_key * binary_entropy(e_z)
+    # NaN fails the range check; a bool is an int but not an efficiency.
+    if isinstance(f_ec, bool) or not isinstance(f_ec, (int, float)) or not 1.0 <= f_ec < math.inf:
+        raise ValueError(f"f_ec must be a finite number >= 1, got {f_ec!r}")
+    return float(f_ec * n_key * binary_entropy(e_z))
 
 
 @dataclass(frozen=True)
@@ -103,46 +105,17 @@ class KeyDecision:
             raise ValueError("infeasible decisions must carry key_length 0")
 
 
-def _resolve_lambda_ec(
-    lambda_ec: float | Callable[[float, float], float] | None,
-    n_key: float,
-    e_z: float,
-    ec_transcript_bit: bool,
-) -> float:
-    if lambda_ec is None:
-        value = lambda_ec_default(n_key, e_z)
-    elif callable(lambda_ec):
-        value = float(lambda_ec(n_key, e_z))
-    else:
-        value = float(lambda_ec)
-    # Encoding all transcripts up to a maximum length costs one extra bit.
-    return value + 1.0 if ec_transcript_bit else value
-
-
-def _hash_penalties(budget: EpsilonBudget) -> float:
-    return 2.0 * math.log2(1.0 / (2.0 * budget.eps_pa)) + math.log2(2.0 / budget.eps_ev)
-
-
-def key_length_single_photon(
+def _decide(
+    key_bits: float,
     e_obs: float,
     n_test: int,
     n_key: int,
-    e_z: float,
     deltas: DeltaPair,
     budget: EpsilonBudget,
-    lambda_ec: float | Callable[[float, float], float] | None = None,
-    ec_transcript_bit: bool = False,
+    lam: float,
 ) -> KeyDecision:
-    """Key length for the single-photon-source protocol.
-
-    l = max(0, n_key (1 - h(B)) - lambda_ec - 2 log2(1/(2 eps_pa))
-           - log2(2/eps_ev)),
-
-    floored to an integer, with B the mismatch phase-error bound.
-    """
-    lam = _resolve_lambda_ec(lambda_ec, n_key, e_z, ec_transcript_bit)
-    if n_test < 1 or n_key < 1:
-        return KeyDecision(0, lam, 1.0, feasible=False)
+    """l = max(0, floor(key_bits (1 - h(B)) - lambda_ec - 2 log2(1/(2 eps_pa))
+    - log2(2/eps_ev))), with B the mismatch phase-error bound."""
     b = bound_mismatch(
         PhaseErrorQuery(
             e_obs=e_obs,
@@ -154,13 +127,27 @@ def key_length_single_photon(
             eps_c_sq=budget.eps_at_c**2,
         )
     )
-    raw = n_key * (1.0 - binary_entropy(b.value)) - lam - _hash_penalties(budget)
-    return KeyDecision(
-        key_length=max(0, math.floor(raw)),
-        lambda_ec=lam,
-        phase_bound=b.value,
-        feasible=True,
-    )
+    phase_bound = float(b.value)
+    hash_penalties = 2.0 * math.log2(1.0 / (2.0 * budget.eps_pa)) + math.log2(2.0 / budget.eps_ev)
+    raw = key_bits * (1.0 - binary_entropy(phase_bound)) - lam - hash_penalties
+    return KeyDecision(max(0, math.floor(raw)), lam, phase_bound, feasible=True)
+
+
+def key_length_single_photon(
+    e_obs: float,
+    n_test: int,
+    n_key: int,
+    e_z: float,
+    deltas: DeltaPair,
+    budget: EpsilonBudget,
+    f_ec: float = DEFAULT_EC_EFFICIENCY,
+) -> KeyDecision:
+    """Key length for the single-photon-source protocol: every key round
+    counts, key_bits = n_key."""
+    lam = lambda_ec_default(n_key, e_z, f_ec)
+    if n_test < 1 or n_key < 1:
+        return KeyDecision(0, lam, 1.0, feasible=False)
+    return _decide(n_key, e_obs, n_test, n_key, deltas, budget, lam)
 
 
 def key_length_decoy(
@@ -168,29 +155,31 @@ def key_length_decoy(
     cfg: DecoyConfig,
     deltas: DeltaPair,
     budget: EpsilonBudget,
-    lambda_ec: float | Callable[[float, float], float] | None = None,
-    ec_transcript_bit: bool = False,
+    f_ec: float = DEFAULT_EC_EFFICIENCY,
 ) -> KeyDecision:
-    """Key length for the decoy-state protocol.
+    """Key length for the decoy-state protocol, from the single-photon
+    component only: key_bits is the one-photon lower bound on the key counts.
 
-    Key is drawn from the single-photon component only:
+    The single-photon error rate is bounded by the ratio of the one-photon
+    upper bound on X-error counts to the one-photon lower bound on X counts;
+    the floored one-photon lower bounds on X and key counts feed the
+    deviation terms (they are non-increasing in the counts, so flooring is
+    conservative).  Total failure budget: 9*eps_at_d^2 for the nine decoy
+    deviations plus eps_a^2 + eps_b^2 + eps_c^2 for the sampling chain.
 
-    l = max(0, B1_low(n_K) (1 - h(B_e)) - lambda_ec
-           - 2 log2(1/(2 eps_pa)) - log2(2/eps_ev)).
+    A one-photon lower bound <= 0 or a crossed one-photon interval on the
+    X or key counts makes the run infeasible (key length 0).
     """
-    n_key_total = sum(obs.n_k)
-    lam = _resolve_lambda_ec(lambda_ec, n_key_total, obs.e_z, ec_transcript_bit)
-    composed = bound_decoy_composed(obs, cfg, deltas, budget)
-    if not composed.feasible:
-        return KeyDecision(0, lam, composed.phase_bound, feasible=False)
-    raw = (
-        composed.single_key_lower * (1.0 - binary_entropy(composed.phase_bound))
-        - lam
-        - _hash_penalties(budget)
-    )
-    return KeyDecision(
-        key_length=max(0, math.floor(raw)),
-        lambda_ec=lam,
-        phase_bound=composed.phase_bound,
-        feasible=True,
+    lam = lambda_ec_default(sum(obs.n_k), obs.e_z, f_ec)
+    eps_d_sq = budget.eps_at_d**2
+    _, test_lower, test_upper = decoy_bounds(obs.counts_x(), cfg, eps_d_sq)
+    _, _, err_upper = decoy_bounds(obs.counts_x_err(), cfg, eps_d_sq)
+    _, key_lower, key_upper = decoy_bounds(obs.counts_k(), cfg, eps_d_sq)
+    if test_lower <= 0.0 or key_lower <= 0.0 or not (
+        test_lower <= test_upper and key_lower <= key_upper
+    ):
+        return KeyDecision(0, lam, 1.0, feasible=False)
+    e1_upper = min(1.0, err_upper / test_lower)
+    return _decide(
+        key_lower, e1_upper, math.floor(test_lower), math.floor(key_lower), deltas, budget, lam
     )

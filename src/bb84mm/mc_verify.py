@@ -51,7 +51,6 @@ __all__ = [
     "verify_small_povm",
     "verify_freq_transfer",
     "verify_decoy_hoeffding",
-    "run_all",
     "poisson_binomial_pmf",
 ]
 
@@ -458,14 +457,3 @@ def verify_decoy_hoeffding(cfg: TrialConfig, decoy: DecoyConfig | None = None) -
             "markov_stay": cfg.markov_stay,
         },
     )
-
-
-def run_all(cfg: TrialConfig | None = None) -> list[VerifierReport]:
-    """All four verifiers at the given (or default) configuration."""
-    cfg = cfg or TrialConfig()
-    return [
-        verify_serfling(cfg),
-        verify_small_povm(cfg),
-        verify_freq_transfer(cfg),
-        verify_decoy_hoeffding(cfg),
-    ]

@@ -2,8 +2,8 @@
 
 ``bound_perfect`` handles basis-independent loss (pure Serfling penalty);
 ``bound_mismatch`` adds the detector-mismatch corrections delta1/delta2 with
-their binomial-tail deviations; ``bound_decoy_composed`` chains the decoy
-bounds on single-photon counts into the mismatch bound.
+their binomial-tail deviations.  The decoy-state key length feeds it the
+single-photon bounds (see :func:`bb84mm.keyrate.key_length_decoy`).
 
 A bound of 1 is vacuous but always valid (downstream entropy saturates at 1
 bit), so every failure mode degrades to 1 rather than raising.
@@ -11,29 +11,16 @@ bit), so every failure mode degrades to 1 rather than raising.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from bb84mm.decoy import (
-    DecoyConfig,
-    Observations,
-    bound_single_upper,
-    single_photon_interval,
-)
 from bb84mm.detector_model import DeltaPair
 from bb84mm.stat_bounds import gamma_bin, gamma_serf
-
-if TYPE_CHECKING:
-    from bb84mm.keyrate import EpsilonBudget
 
 __all__ = [
     "PhaseErrorQuery",
     "MismatchBound",
-    "ComposedBound",
     "bound_perfect",
     "bound_mismatch",
-    "bound_decoy_composed",
 ]
 
 
@@ -102,61 +89,3 @@ def bound_mismatch(q: PhaseErrorQuery) -> MismatchBound:
         return MismatchBound(1.0, vacuous=True)
     return MismatchBound(min(1.0, numer / denom), vacuous=False)
 
-
-@dataclass(frozen=True)
-class ComposedBound:
-    """Decoy-composed phase bound and single-photon key-count lower bound."""
-
-    phase_bound: float
-    single_key_lower: float
-    single_test_lower: float
-    single_error_rate_upper: float
-    feasible: bool
-    vacuous: bool
-
-
-def bound_decoy_composed(
-    obs: Observations,
-    cfg: DecoyConfig,
-    deltas: DeltaPair,
-    budget: "EpsilonBudget",
-) -> ComposedBound:
-    """Chain decoy bounds into the mismatch phase-error bound.
-
-    The single-photon error rate is bounded by the ratio of the one-photon
-    upper bound on error counts to the one-photon lower bound on conclusive
-    test counts; the single-photon test/key counts feed the deviation terms.
-    Total failure budget: 9*eps_at_d^2 for the nine decoy deviations plus
-    eps_a^2 + eps_b^2 + eps_c^2 for the sampling chain.
-
-    Zero single-photon lower bounds make the run infeasible (key length 0).
-    """
-    eps_d_sq = budget.eps_at_d**2
-    b1l_test, b1u_test, ok_test = single_photon_interval(obs.counts_x(), cfg, eps_d_sq)
-    b1u_err = bound_single_upper(obs.counts_x_err(), cfg, eps_d_sq)
-    b1l_key, b1u_key, ok_key = single_photon_interval(obs.counts_k(), cfg, eps_d_sq)
-
-    if b1l_test <= 0.0 or b1l_key <= 0.0 or not (ok_test and ok_key):
-        return ComposedBound(1.0, 0.0, 0.0, 1.0, feasible=False, vacuous=True)
-
-    e1_upper = min(1.0, b1u_err / b1l_test)
-    # The deviation terms are non-increasing in the counts, so flooring the
-    # real-valued lower bounds to integers is conservative.
-    q = PhaseErrorQuery(
-        e_obs=e1_upper,
-        n_test=math.floor(b1l_test),
-        n_key=math.floor(b1l_key),
-        deltas=deltas,
-        eps_a_sq=budget.eps_at_a**2,
-        eps_b_sq=budget.eps_at_b**2,
-        eps_c_sq=budget.eps_at_c**2,
-    )
-    b = bound_mismatch(q)
-    return ComposedBound(
-        phase_bound=b.value,
-        single_key_lower=b1l_key,
-        single_test_lower=b1l_test,
-        single_error_rate_upper=e1_upper,
-        feasible=True,
-        vacuous=b.vacuous,
-    )

@@ -10,7 +10,7 @@ from bb84mm import cli
 from bb84mm.channel_sim import ChannelSpec, expected_observations
 from bb84mm.decoy import DecoyConfig
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas
-from bb84mm.keyrate import EpsilonBudget, key_length_decoy, lambda_ec_default
+from bb84mm.keyrate import EpsilonBudget, key_length_decoy
 
 BASE_CONFIG = {
     "detector": {"eta_det": 0.7, "d_det": 1e-6, "delta_eta": 0.01, "delta_dc": 0.01},
@@ -61,9 +61,7 @@ class TestKeyrateScan:
                 loss_db=float(loss), n_total=10**9, detector=det
             )
             obs = expected_observations(ch, cfg)
-            decision = key_length_decoy(
-                obs, cfg, deltas, EpsilonBudget(), lambda_ec=lambda n, e: lambda_ec_default(n, e, 1.16)
-            )
+            decision = key_length_decoy(obs, cfg, deltas, EpsilonBudget(), f_ec=1.16)
             assert int(length) == decision.key_length
             assert float(rate) == pytest.approx(decision.key_length / 10**9, rel=1e-9)
 
@@ -168,7 +166,7 @@ class TestSimulateDecoyRoundTrip:
             DecoyConfig.reference(),
             deltas,
             EpsilonBudget(),
-            lambda_ec=lambda n, e: lambda_ec_default(n, e, 1.16),
+            f_ec=1.16,
         )
         assert key["key_length"] == decision.key_length
         assert key["phase_bound"] == pytest.approx(decision.phase_bound, rel=1e-12)
@@ -254,6 +252,14 @@ class TestErrorPaths:
         path.write_text('{"n_x": [%s, 1, 1], "n_k": [1, 1, 1], "e_x": [0, 0, 0], "e_z": 0}' % bad)
         assert run_cli("keyrate", "--config", config_path, "--observations", str(path)) == 2
         assert "n_x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "true"])
+    def test_bad_ec_efficiency(self, tmp_path, capsys, bad):
+        text = json.dumps(dict(BASE_CONFIG, error_correction={"f_ec": 0.0}))
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace('"f_ec": 0.0', f'"f_ec": {bad}'))
+        assert run_cli("keyrate", "--config", str(path)) == 2
+        assert "f_ec" in capsys.readouterr().err
 
     def test_out_of_range_verify_field(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

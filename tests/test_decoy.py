@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bb84mm.channel_sim import ChannelSpec, sample_observations
 from bb84mm.decoy import (
@@ -13,6 +15,7 @@ from bb84mm.decoy import (
     bound_single_lower,
     bound_single_upper,
     bound_vacuum_lower,
+    decoy_bounds,
     intensity_given_photon,
     photon_given_intensity,
     shifted_counts,
@@ -126,18 +129,30 @@ class TestAnalyticBounds:
         assert bound_vacuum_lower(counts, CFG, 1e-24) == pytest.approx(expect, rel=1e-12)
 
     def test_interval_sanity_on_random_counts(self):
-        # Random (unphysical) counts may produce an empty interval, but then
-        # the feasibility flag must say so; it is never raised spuriously.
-        from bb84mm.decoy import single_photon_interval
-
+        # Random (unphysical) counts may cross the one-photon interval
+        # (lower > upper), but every bound stays a plain float in [0, total].
         rng = np.random.default_rng(17)
+        crossed = 0
         for _ in range(200):
             counts = OutcomeCounts(tuple(rng.integers(0, 10**7, 3).astype(float)))
-            lo, hi, feasible = single_photon_interval(counts, CFG, 1e-12)
-            assert type(lo) is float and type(hi) is float and type(feasible) is bool
-            assert 0.0 <= lo <= counts.total
-            assert 0.0 <= hi <= counts.total
-            assert feasible == (lo <= hi)
+            bounds = decoy_bounds(counts, CFG, 1e-12)
+            assert all(type(v) is float and 0.0 <= v <= counts.total for v in bounds)
+            crossed += bounds[1] > bounds[2]
+        assert 0 < crossed < 200
+
+    @given(
+        counts=st.tuples(*[st.floats(0.0, 1e12)] * 3) | st.tuples(*[st.integers(0, 10)] * 3),
+        eps_sq=st.floats(1e-30, 0.5),
+        vacuum_decoy=st.booleans(),
+    )
+    def test_wrappers_pick_from_decoy_bounds(self, counts, eps_sq, vacuum_decoy):
+        cfg = CFG if vacuum_decoy else DecoyConfig((0.5, 0.2, 0.01), (0.6, 0.3, 0.1))
+        c = OutcomeCounts(counts)
+        assert decoy_bounds(c, cfg, eps_sq) == (
+            bound_vacuum_lower(c, cfg, eps_sq),
+            bound_single_lower(c, cfg, eps_sq),
+            bound_single_upper(c, cfg, eps_sq),
+        )
 
     def test_upper_bound_monotone_in_counts(self):
         base = OutcomeCounts((1e6, 1e6, 1e5))

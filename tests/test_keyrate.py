@@ -1,11 +1,14 @@
 """Tests of the key-length formulas and epsilon accounting."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bb84mm.channel_sim import ChannelSpec, expected_observations
-from bb84mm.decoy import DecoyConfig
+from bb84mm.decoy import DecoyConfig, Observations, OutcomeCounts, decoy_bounds
 from bb84mm.detector_model import DeltaPair, DetectorSpec, closed_form_deltas
 from bb84mm.keyrate import (
     EpsilonBudget,
@@ -14,6 +17,7 @@ from bb84mm.keyrate import (
     key_length_single_photon,
     lambda_ec_default,
 )
+from bb84mm.phase_error import PhaseErrorQuery, bound_mismatch
 
 BUDGET = EpsilonBudget.equal(1e-12)
 
@@ -53,8 +57,13 @@ class TestLambdaEc:
         assert lambda_ec_default(10**6, 0.5, f_ec=1.0) == 10**6
 
     def test_rejects_subunit_efficiency(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="f_ec"):
             lambda_ec_default(10, 0.1, f_ec=0.9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1.2"])
+    def test_rejects_non_finite_or_non_numeric_efficiency(self, bad):
+        with pytest.raises(ValueError, match="f_ec"):
+            lambda_ec_default(10, 0.1, f_ec=bad)
 
 
 class TestEpsilonBudget:
@@ -91,8 +100,6 @@ class TestKeyLengthSinglePhoton:
         assert out.phase_bound == pytest.approx(2.0513048796e-2, rel=1e-6)
 
     def test_manual_formula_identity(self):
-        from bb84mm.phase_error import PhaseErrorQuery, bound_mismatch
-
         e, n, ez = 0.01, 10**6, 0.01
         b = bound_mismatch(
             PhaseErrorQuery(
@@ -149,23 +156,16 @@ class TestKeyLengthSinglePhoton:
         assert length(d1=0.008) <= base
         assert length(d2=0.004) <= base
 
-    def test_custom_lambda_ec(self):
-        fixed = key_length_single_photon(
-            0.01, 10**6, 10**6, 0.01, DeltaPair.zero(), BUDGET, lambda_ec=12345.0
-        )
-        assert fixed.lambda_ec == 12345.0
-        plumbed = key_length_single_photon(
-            0.01,
-            10**6,
-            10**6,
-            0.01,
-            DeltaPair.zero(),
-            BUDGET,
-            lambda_ec=12345.0,
-            ec_transcript_bit=True,
-        )
-        assert plumbed.lambda_ec == 12346.0
-        assert plumbed.key_length in (fixed.key_length - 1, fixed.key_length)
+    def test_f_ec_reaches_lambda_ec(self):
+        args = (0.01, 10**6, 10**6, 0.01, DeltaPair.zero(), BUDGET)
+        default = key_length_single_photon(*args)
+        assert default.lambda_ec == lambda_ec_default(10**6, 0.01)
+        costly = key_length_single_photon(*args, f_ec=1.5)
+        assert costly.lambda_ec == lambda_ec_default(10**6, 0.01, 1.5)
+        assert costly.key_length < default.key_length
+        obs = expected_observations(ChannelSpec.reference(loss_db=5.0), DecoyConfig.reference())
+        decision = key_length_decoy(obs, DecoyConfig.reference(), DeltaPair.zero(), BUDGET, f_ec=1.5)
+        assert decision.lambda_ec == lambda_ec_default(sum(obs.n_k), obs.e_z, 1.5)
 
 
 class TestKeyLengthDecoy:
@@ -177,8 +177,6 @@ class TestKeyLengthDecoy:
         )
 
     def test_zero_observations(self):
-        from bb84mm.decoy import Observations
-
         obs = Observations(n_x=(0, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=0.0)
         out = key_length_decoy(obs, self.CFG, DeltaPair.zero(), BUDGET)
         assert out.key_length == 0
@@ -196,6 +194,8 @@ class TestKeyLengthDecoy:
         zero = key_length_decoy(obs, self.CFG, DeltaPair.zero(), BUDGET)
         assert zero.key_length == 2245293015
         assert zero.phase_bound == pytest.approx(1.7106485068e-3, rel=1e-6)
+        # Plain Python types at the boundary.
+        assert [type(v) for v in dataclasses.astuple(zero)] == [int, float, float, bool]
         deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01))
         one_pct = key_length_decoy(obs, self.CFG, deltas, BUDGET)
         assert one_pct.key_length == 1687039082
@@ -208,13 +208,63 @@ class TestKeyLengthDecoy:
         assert out.key_length == 0
 
     def test_key_bounded_by_single_photon_count(self):
-        from bb84mm.phase_error import bound_decoy_composed
-
         obs = self._obs()
         out = key_length_decoy(obs, self.CFG, DeltaPair.zero(), BUDGET)
-        composed = bound_decoy_composed(obs, self.CFG, DeltaPair.zero(), BUDGET)
-        assert out.key_length <= composed.single_key_lower
+        assert out.key_length <= decoy_bounds(obs.counts_k(), self.CFG, BUDGET.eps_at_d**2)[1]
         assert out.key_length <= sum(obs.n_k)
+
+    def test_composition_identity(self):
+        # The decision is the single-photon formula with the decoy bounds
+        # plugged in by hand.
+        obs = self._obs(loss_db=10.0)
+        deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01))
+        eps_d_sq = BUDGET.eps_at_d**2
+        b1l_x = decoy_bounds(obs.counts_x(), self.CFG, eps_d_sq)[1]
+        b1u_err = decoy_bounds(obs.counts_x_err(), self.CFG, eps_d_sq)[2]
+        b1l_k = decoy_bounds(obs.counts_k(), self.CFG, eps_d_sq)[1]
+        manual = bound_mismatch(
+            PhaseErrorQuery(
+                e_obs=min(1.0, b1u_err / b1l_x),
+                n_test=int(b1l_x),
+                n_key=int(b1l_k),
+                deltas=deltas,
+                eps_a_sq=1e-24,
+                eps_b_sq=1e-24,
+                eps_c_sq=1e-24,
+            )
+        )
+        lam = lambda_ec_default(sum(obs.n_k), obs.e_z)
+        expect = math.floor(
+            b1l_k * (1 - binary_entropy(manual.value))
+            - lam
+            - 2 * math.log2(1 / (2e-12))
+            - math.log2(2 / 1e-12)
+        )
+        out = key_length_decoy(obs, self.CFG, deltas, BUDGET)
+        assert out.phase_bound == manual.value
+        assert out.lambda_ec == lam
+        assert out.key_length == expect
+
+    def test_empty_interval_forces_infeasible(self):
+        # key counts whose clamped one-photon interval is empty (found by search)
+        bad = (2149419.0, 4562823.0, 3858240.0)
+        _, lo, hi = decoy_bounds(OutcomeCounts(bad), self.CFG, BUDGET.eps_at_d**2)
+        assert lo > hi > 0.0
+        obs = Observations(n_x=(1e6, 1e6, 1e5), n_k=bad, e_x=(0.01, 0.01, 0.5), e_z=0.01)
+        out = key_length_decoy(obs, self.CFG, DeltaPair.zero(), BUDGET)
+        assert not out.feasible
+        assert out.key_length == 0
+        assert out.phase_bound == 1.0
+
+    def test_more_errors_weakly_raise_bound(self):
+        obs = self._obs(loss_db=10.0)
+        bumped = dataclasses.replace(
+            obs, e_x=(obs.e_x[0], min(1.0, obs.e_x[1] * 1.5), obs.e_x[2])
+        )
+        base = key_length_decoy(obs, self.CFG, DeltaPair.zero(), BUDGET)
+        more = key_length_decoy(bumped, self.CFG, DeltaPair.zero(), BUDGET)
+        assert more.phase_bound >= base.phase_bound
+        assert more.key_length <= base.key_length
 
     def test_monotone_in_mismatch(self):
         obs = self._obs()
@@ -223,6 +273,29 @@ class TestKeyLengthDecoy:
             deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, tol, tol))
             lengths.append(key_length_decoy(obs, self.CFG, deltas, BUDGET).key_length)
         assert all(a >= b for a, b in zip(lengths, lengths[1:]))
+
+    @settings(max_examples=60)
+    @given(
+        loss_db=st.floats(0.0, 50.0),
+        e_z=st.floats(0.0, 0.5),
+        e_z_bump=st.floats(0.0, 0.5),
+        tol_eta=st.lists(st.floats(0.0, 0.05), min_size=2, max_size=2),
+        tol_dc=st.lists(st.floats(0.0, 0.05), min_size=2, max_size=2),
+    )
+    def test_non_increasing_in_error_rate_and_tolerances(
+        self, loss_db, e_z, e_z_bump, tol_eta, tol_dc
+    ):
+        obs = dataclasses.replace(self._obs(loss_db=loss_db), e_z=e_z)
+        (eta_lo, eta_hi), (dc_lo, dc_hi) = sorted(tol_eta), sorted(tol_dc)
+
+        def length(o=obs, de=eta_lo, dd=dc_lo):
+            deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, de, dd))
+            return key_length_decoy(o, self.CFG, deltas, BUDGET).key_length
+
+        base = length()
+        assert length(o=dataclasses.replace(obs, e_z=min(1.0, e_z + e_z_bump))) <= base
+        assert length(de=eta_hi) <= base
+        assert length(dd=dc_hi) <= base
 
 
 _VALID = {
