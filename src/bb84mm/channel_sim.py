@@ -54,7 +54,9 @@ class ChannelSpec:
     ``transmissivity`` is the channel transmission (loss in dB maps to
     10^(-dB/10)); ``misalignment_deg`` rotates every photon's polarization
     between Alice's and Bob's mode bases.  The detector is used at its
-    nominal efficiency and dark-count rate.
+    nominal efficiency and dark-count rate.  Each party picks the X basis
+    with the probability left by Z, so ``p_x_alice`` and ``p_x_bob`` are
+    derived, not set.
     """
 
     transmissivity: float
@@ -62,9 +64,7 @@ class ChannelSpec:
     detector: DetectorSpec
     n_total: int
     p_z_alice: float = 0.5
-    p_x_alice: float = 0.5
     p_z_bob: float = 0.5
-    p_x_bob: float = 0.5
     p_z_test: float = 0.05
 
     def __post_init__(self) -> None:
@@ -79,14 +79,13 @@ class ChannelSpec:
             object.__setattr__(self, "n_total", int(self.n_total))
         if self.n_total < 1:
             raise ValueError(f"n_total must be >= 1, got {self.n_total}")
-        for name in ("p_z_alice", "p_x_alice", "p_z_bob", "p_x_bob", "p_z_test"):
+        for name in ("p_z_alice", "p_z_bob", "p_z_test"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if abs(self.p_z_alice + self.p_x_alice - 1.0) > 1e-12:
-            raise ValueError("Alice's basis probabilities must sum to 1")
-        if abs(self.p_z_bob + self.p_x_bob - 1.0) > 1e-12:
-            raise ValueError("Bob's basis probabilities must sum to 1")
+
+    p_x_alice = property(lambda self: 1.0 - self.p_z_alice)
+    p_x_bob = property(lambda self: 1.0 - self.p_z_bob)
 
     @classmethod
     def reference(cls, loss_db: float, n_total: int = 10**12, **overrides) -> "ChannelSpec":

@@ -65,7 +65,21 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _reject_booleans(data, path, "")
     return data
+
+
+def _reject_booleans(value: Any, path: str, where: str) -> None:
+    """No config or observations field is a boolean, and Python would read
+    true/false as the numbers 1/0, so any JSON boolean is an error."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: {where} must not be a boolean, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_booleans(item, path, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_booleans(item, path, f"{where}[{i}]")
 
 
 def _section(cfg: dict, name: str, required: bool = True) -> dict:

@@ -15,13 +15,15 @@ construction reduces the quantum statement to this case).  Four verifiers:
                                conditioned expectations, with adversarially
                                correlated photon sequences.
 
-Each verifier reads only aggregate counts, so it draws those counts from
-their exact distribution instead of simulating rounds: multinomials for the
-Serfling assignment, the Poisson-binomial pmf for click counts, and run
-lengths of the photon-number chain followed by per-level multinomials for
-the decoy counts.  Each verifier is deterministic given ``cfg.seed`` and
-reports the empirical violation frequency, the analytic bound, the exact
-binomial standard error of the empirical frequency, and a pass flag meaning
+Each verifier samples only the statistic it reads, from its exact
+distribution, instead of simulating rounds: multinomials for the Serfling
+assignment, one Multinomial(trials, pmf) histogram over the Poisson-binomial
+pmf for click counts (its upper tails give every threshold's frequency, the
+pmf's own the exact probability), and run lengths of the photon-number
+chain followed by per-level multinomials for the decoy counts.  Each
+verifier is deterministic given ``cfg.seed`` and reports the empirical
+violation frequency, the analytic bound, the exact binomial standard error
+of the empirical frequency, and a pass flag meaning
 empirical <= bound + 3*sigma on every tested statistic (and, where the pmf
 gives it, exact probability <= bound).
 """
@@ -84,8 +86,8 @@ _RANGES = {
 # The distribution each verifier draws its counts from, by report name.
 SAMPLERS = {
     "serfling": "multinomial (test, key, neither) counts among the ones and among the zeros",
-    "smallpovm": "Poisson-binomial click count, inverse-CDF draw from the exact pmf",
-    "transfer": "two independent Poisson-binomial click counts, one per profile",
+    "smallpovm": "histogram of the Poisson-binomial click count, one multinomial over the exact pmf",
+    "transfer": "two independent click-count histograms, one multinomial over each profile's Poisson-binomial pmf",
     "decoy": "sticky-chain photon-level visits from Geometric run lengths, then per-level multinomials",
 }
 
@@ -158,8 +160,9 @@ class VerifierReport:
         }
 
 
-def _binomial_se(freq: float, count: int) -> float:
-    return math.sqrt(freq * (1.0 - freq) / count) if count > 0 else 0.0
+def _binomial_se(freq, count):
+    """Standard error of a frequency over ``count`` trials, elementwise."""
+    return np.sqrt(freq * (1.0 - freq) / np.maximum(count, 1))
 
 
 def _rng(cfg: TrialConfig, name: str) -> np.random.Generator:
@@ -183,16 +186,24 @@ def poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def _upper_tail(pmf: np.ndarray, k: int) -> float:
-    """P[count >= k] summed from the pmf (small tails keep their accuracy)."""
-    return float(pmf[max(k, 0) :].sum())
+def _tails(v: np.ndarray) -> np.ndarray:
+    """Upper tails ``v[k:].sum()`` for k = 0 .. len(v), the last one 0.
+
+    Summed from the top, so small tails keep their accuracy.
+    """
+    return np.append(np.cumsum(v[::-1])[::-1], 0.0)
 
 
-def _draw_counts(pmf: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """``trials`` counts drawn from ``pmf`` by inverting its CDF."""
-    cdf = np.cumsum(pmf)
-    cdf /= cdf[-1]
-    return np.searchsorted(cdf, rng.random(trials), side="right")
+def _tails_at(pmf: np.ndarray, trials: int, rng: np.random.Generator, k):
+    """Exact P[count >= k] under ``pmf`` and the frequency of count >= k
+    among ``trials`` draws from it, at thresholds ``k`` clamped to [0, n + 1].
+
+    The draws matter only through their histogram, which is
+    Multinomial(trials, pmf), so that is what is sampled.
+    """
+    hist = rng.multinomial(trials, pmf / pmf.sum())
+    k = np.clip(k, 0, pmf.size)
+    return _tails(pmf)[k], _tails(hist)[k] / trials
 
 
 def _serfling_counts(n: int, ones: int, p_test: float, p_key: float, trials: int, rng):
@@ -251,56 +262,41 @@ def verify_serfling(cfg: TrialConfig) -> VerifierReport:
         cfg.n, int(round(cfg.n * cfg.ones_density)), cfg.p_test, cfg.p_key, cfg.trials, rng
     )
     valid = (n_t >= 1) & (n_k >= 1)
-    viol = np.zeros(cfg.trials, bool)
-    viol[valid] = (
-        s_k[valid] / n_k[valid] >= s_t[valid] / n_t[valid] + cfg.gamma - 1e-15
-    )
+    n_t, n_k, s_t, s_k = n_t[valid], n_k[valid], s_t[valid], s_k[valid]
+    viol = s_k / n_k >= s_t / n_t + cfg.gamma - 1e-15
 
     keys = n_t.astype(np.int64) * (cfg.n + 1) + n_k
-    strata, inverse = np.unique(keys[valid], return_inverse=True)
-    counts = np.bincount(inverse)
-    viols = np.bincount(inverse, weights=viol[valid].astype(float))
+    strata, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    nt, nk = np.divmod(strata, cfg.n + 1)
+    emp = np.bincount(inverse, weights=viol) / counts
+    bound = np.exp(-2.0 * cfg.gamma**2 * f_serf(nt.astype(float), nk.astype(float)))
+    sig = _binomial_se(emp, counts)
+    margin = emp - bound - 3.0 * sig
+    tested = counts >= MIN_STRATUM
+    worst = None
+    if tested.any():
+        i = np.flatnonzero(tested)[np.argmax(margin[tested])]
+        worst = {
+            "n_test": int(nt[i]),
+            "n_key": int(nk[i]),
+            "trials": int(counts[i]),
+            "empirical": float(emp[i]),
+            "bound": float(bound[i]),
+            "sigma": float(sig[i]),
+            "margin": float(margin[i]),
+        }
 
-    passed = True
-    weighted_bound = 0.0
-    tested = skipped = 0
-    worst: dict[str, Any] | None = None
-    for idx, key in enumerate(strata):
-        nt, nk = int(key) // (cfg.n + 1), int(key) % (cfg.n + 1)
-        cnt = int(counts[idx])
-        emp = float(viols[idx] / cnt)
-        bound = math.exp(-2.0 * cfg.gamma**2 * f_serf(nt, nk))
-        weighted_bound += cnt * bound
-        if cnt < MIN_STRATUM:
-            skipped += 1
-            continue
-        tested += 1
-        sig = _binomial_se(emp, cnt)
-        ok = bool(emp <= bound + 3.0 * sig)
-        passed &= ok
-        margin = emp - bound - 3.0 * sig
-        if worst is None or margin > worst["margin"]:
-            worst = {
-                "n_test": nt,
-                "n_key": nk,
-                "trials": cnt,
-                "empirical": emp,
-                "bound": bound,
-                "sigma": sig,
-                "margin": margin,
-            }
-
-    n_valid = int(valid.sum())
+    n_valid = viol.size
     empirical = float(viol.sum()) / n_valid if n_valid else 0.0
     return VerifierReport(
         name="serfling",
         empirical=empirical,
-        bound=weighted_bound / n_valid if n_valid else 0.0,
-        sigma=_binomial_se(empirical, n_valid),
-        passed=passed,
+        bound=float(counts @ bound) / n_valid if n_valid else 0.0,
+        sigma=float(_binomial_se(empirical, n_valid)),
+        passed=bool(np.all((emp <= bound + 3.0 * sig)[tested])),
         details={
-            "strata_tested": tested,
-            "strata_skipped": skipped,
+            "strata_tested": int(tested.sum()),
+            "strata_skipped": int(strata.size - tested.sum()),
             "worst_stratum": worst,
             "gamma": cfg.gamma,
         },
@@ -320,18 +316,17 @@ def verify_small_povm(cfg: TrialConfig) -> VerifierReport:
 
     Per-round click probabilities p_i <= delta; the extremal profile
     p_i = delta is the Bernoulli case where the bound is tight (report
-    carries the two-sided agreement for that mode).  The count is drawn
-    from its exact Poisson-binomial pmf, whose tail is reported as
-    ``details["exact"]`` and must itself lie below the bound.
+    carries the two-sided agreement for that mode).  The trials' counts
+    are one Multinomial(trials, pmf) histogram over the exact
+    Poisson-binomial pmf, whose own tail is reported as ``details["exact"]``
+    and must itself lie below the bound.
     """
     rng = _rng(cfg, "smallpovm")
     pmf = poisson_binomial_pmf(_click_profile(cfg, rng))
-    counts = _draw_counts(pmf, cfg.trials, rng)
     threshold = _tail_threshold(cfg.n, cfg.delta + cfg.c)
+    exact, empirical = map(float, _tails_at(pmf, cfg.trials, rng, threshold))
     bound = binomial_tail(TailQuery(n=cfg.n, delta=cfg.delta, c=cfg.c))
-    exact = _upper_tail(pmf, threshold)
-    empirical = float((counts >= threshold).mean())
-    sigma = _binomial_se(empirical, cfg.trials)
+    sigma = float(_binomial_se(empirical, cfg.trials))
     passed = bool(empirical <= bound + 3.0 * sigma and exact <= bound * (1.0 + EXACT_RTOL))
     sigma_bound = _binomial_se(bound, cfg.trials)
     return VerifierReport(
@@ -358,9 +353,10 @@ def verify_freq_transfer(cfg: TrialConfig) -> VerifierReport:
         Pr[N'/n >= e + 2 delta + c] <= Pr[N/n >= e] + tail(n; 2 delta; c).
 
     The inequality compares two marginal probabilities, so N and N' are
-    drawn independently, each from its exact Poisson-binomial pmf: the
-    proof's coupling of the profiles through shared per-round uniforms (the
-    three-outcome remapping) is only its device and changes neither side.
+    drawn independently, each trial's count as one histogram over its exact
+    Poisson-binomial pmf: the proof's coupling of the profiles through
+    shared per-round uniforms (the three-outcome remapping) is only its
+    device and changes neither side.
     With independent draws, the hypot of the two standard errors is exact,
     not conservative.  A row passes only if its exact sides (``exact_left``,
     ``exact_right``) satisfy the inequality too.
@@ -369,43 +365,27 @@ def verify_freq_transfer(cfg: TrialConfig) -> VerifierReport:
     half_width = min(cfg.base_rate - 0.01, 0.05)
     p = np.clip(rng.uniform(cfg.base_rate - half_width, cfg.base_rate + half_width, cfg.n), 0.0, 1.0)
     p_prime = np.clip(p + rng.uniform(-cfg.delta, cfg.delta, cfg.n), 0.0, 1.0)
-    pmf, pmf_prime = poisson_binomial_pmf(p), poisson_binomial_pmf(p_prime)
-    c_p = _draw_counts(pmf, cfg.trials, rng)
-    c_pp = _draw_counts(pmf_prime, cfg.trials, rng)
-
-    tail = binomial_tail(TailQuery(n=cfg.n, delta=min(1.0, 2.0 * cfg.delta), c=cfg.c))
     grid = [cfg.base_rate - 0.02, cfg.base_rate, cfg.base_rate + 0.02]
-    rows = []
-    passed = True
-    for e in grid:
-        k_left = _tail_threshold(cfg.n, e + 2.0 * cfg.delta + cfg.c)
-        k_right = _tail_threshold(cfg.n, e)
-        left = float((c_pp >= k_left).mean())
-        right_freq = float((c_p >= k_right).mean())
-        right = right_freq + tail
-        exact_left = _upper_tail(pmf_prime, k_left)
-        exact_right = _upper_tail(pmf, k_right) + tail
-        sig = math.hypot(_binomial_se(left, cfg.trials), _binomial_se(right_freq, cfg.trials))
-        ok = bool(left <= right + 3.0 * sig and exact_left <= exact_right * (1.0 + EXACT_RTOL))
-        passed &= ok
-        rows.append(
-            {
-                "e": e,
-                "left": left,
-                "right": right,
-                "exact_left": exact_left,
-                "exact_right": exact_right,
-                "sigma": sig,
-                "pass": ok,
-            }
-        )
-    worst = max(rows, key=lambda r: r["left"] - r["right"])
+    k_right = [_tail_threshold(cfg.n, e) for e in grid]
+    k_left = [_tail_threshold(cfg.n, e + 2.0 * cfg.delta + cfg.c) for e in grid]
+    exact_right, right_freq = _tails_at(poisson_binomial_pmf(p), cfg.trials, rng, k_right)
+    exact_left, left = _tails_at(poisson_binomial_pmf(p_prime), cfg.trials, rng, k_left)
+    tail = binomial_tail(TailQuery(n=cfg.n, delta=min(1.0, 2.0 * cfg.delta), c=cfg.c))
+    right, exact_right = right_freq + tail, exact_right + tail
+    sig = np.hypot(_binomial_se(left, cfg.trials), _binomial_se(right_freq, cfg.trials))
+    ok = (left <= right + 3.0 * sig) & (exact_left <= exact_right * (1.0 + EXACT_RTOL))
+    columns = (left, right, exact_left, exact_right, sig, ok)
+    rows = [
+        {"e": e, "left": lf, "right": rt, "exact_left": xl, "exact_right": xr, "sigma": sg, "pass": ps}
+        for e, lf, rt, xl, xr, sg, ps in zip(grid, *(col.tolist() for col in columns))
+    ]
+    worst = rows[int(np.argmax(left - right))]
     return VerifierReport(
         name="transfer",
         empirical=worst["left"],
         bound=worst["right"],
         sigma=worst["sigma"],
-        passed=passed,
+        passed=bool(ok.all()),
         details={"grid": rows, "tail_term": tail},
     )
 
@@ -433,23 +413,20 @@ def verify_decoy_hoeffding(cfg: TrialConfig, decoy: DecoyConfig | None = None) -
     )
     counts_k = _intensity_counts(counts_m, cond, rng)
     t = hoeffding_decoy_dev(cfg.n, cfg.eps_sq)
-    expected = counts_m @ cond  # (trials, intensities)
-    dev = np.abs(counts_k - expected)
-    rows = []
-    passed = True
-    for k in range(cond.shape[1]):
-        emp = float((dev[:, k] >= t).mean())
-        sig = _binomial_se(emp, cfg.trials)
-        ok = bool(emp <= cfg.eps_sq + 3.0 * sig)
-        passed &= ok
-        rows.append({"intensity_index": k, "empirical": emp, "sigma": sig, "pass": ok})
-    worst = max(rows, key=lambda r: r["empirical"])
+    emp = (np.abs(counts_k - counts_m @ cond) >= t).mean(axis=0)
+    sig = _binomial_se(emp, cfg.trials)
+    ok = emp <= cfg.eps_sq + 3.0 * sig
+    rows = [
+        {"intensity_index": k, "empirical": e, "sigma": sg, "pass": ps}
+        for k, (e, sg, ps) in enumerate(zip(emp.tolist(), sig.tolist(), ok.tolist()))
+    ]
+    worst = rows[int(np.argmax(emp))]
     return VerifierReport(
         name="decoy",
         empirical=worst["empirical"],
         bound=cfg.eps_sq,
         sigma=worst["sigma"],
-        passed=passed,
+        passed=bool(ok.all()),
         details={
             "deviation": t,
             "per_intensity": rows,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bb84mm.detector_model import DeltaPair
-from bb84mm.stat_bounds import gamma_bin, gamma_serf
+from bb84mm.stat_bounds import binomial_quantile, gamma_serf
 
 __all__ = [
     "PhaseErrorQuery",
@@ -72,7 +72,9 @@ def bound_mismatch(q: PhaseErrorQuery) -> MismatchBound:
     / (1 - delta2 - gamma_bin(n_key, delta2)),
 
     capped at 1.  A non-positive denominator means the discard fraction
-    cannot be controlled; the bound is then vacuous (1).
+    cannot be controlled; the bound is then vacuous (1).  Each
+    delta + gamma_bin is formed as max(delta, binomial quantile), which keeps
+    the bound non-decreasing in delta1 and delta2 to the last bit.
     """
     if q.n_test < 1 or q.n_key < 1:
         return MismatchBound(1.0, vacuous=True)
@@ -81,10 +83,9 @@ def bound_mismatch(q: PhaseErrorQuery) -> MismatchBound:
     numer = (
         q.e_obs
         + gamma_serf(q.n_test, q.n_key, q.eps_a_sq)
-        + d1
-        + gamma_bin(q.n_key, min(d1, 1.0), q.eps_b_sq)
+        + max(d1, binomial_quantile(q.n_key, min(d1, 1.0), q.eps_b_sq))
     )
-    denom = 1.0 - d2 - gamma_bin(q.n_key, d2, q.eps_c_sq)
+    denom = 1.0 - max(d2, binomial_quantile(q.n_key, d2, q.eps_c_sq))
     if denom <= 0.0:
         return MismatchBound(1.0, vacuous=True)
     return MismatchBound(min(1.0, numer / denom), vacuous=False)

@@ -2,9 +2,10 @@
 
 Three deviation terms drive every finite-size penalty in this package:
 
-* ``binomial_tail`` / ``gamma_bin`` -- the upper tail of a Binomial(n, delta)
-  distribution and its inverse (smallest deviation ``c`` pushing the tail
-  below a failure-probability target).
+* ``binomial_tail`` / ``binomial_quantile`` / ``gamma_bin`` -- the upper
+  tail of a Binomial(n, delta) distribution, its inverse (smallest
+  frequency k/n whose tail is below a failure-probability target), and
+  that frequency's excess ``c`` over delta.
 * ``gamma_serf`` -- the Serfling-style deviation for estimating the error
   rate of a randomly chosen key set from a randomly chosen test set.
 * ``hoeffding_decoy_dev`` -- the two-sided Hoeffding deviation used to relate
@@ -25,6 +26,7 @@ from scipy.special import betainc
 __all__ = [
     "TailQuery",
     "binomial_tail",
+    "binomial_quantile",
     "gamma_bin",
     "gamma_serf",
     "hoeffding_decoy_dev",
@@ -100,19 +102,12 @@ def _tail_at_count(n: int, delta: float, k: int) -> float:
     return float(betainc(k, n - k + 1, delta))
 
 
-def gamma_bin(n: int, delta: float, eps_sq: float) -> float:
-    """Smallest deviation c with binomial_tail(n, delta, c) <= eps_sq.
+def binomial_quantile(n: int, delta: float, eps_sq: float) -> float:
+    """Smallest frequency k/n with P[Binomial(n, delta) >= k] <= eps_sq.
 
-    The tail is a step function of c, changing only where the threshold
-    ceil(n*(delta+c)) crosses an integer, so the inversion is a bisection
-    over that integer grid; the returned c sits exactly on the grid.  The
-    result satisfies
-
-        binomial_tail(n, delta, c) <= eps_sq, and
-        binomial_tail(n, delta, c - 1/n) > eps_sq   (whenever c >= 1/n).
-
-    For delta = 0 the tail vanishes for every positive c and the inverse is
-    defined as exactly 0.
+    Bisection over k in [0, n + 1], where the tail is non-increasing and
+    P[X >= n + 1] = 0.  For delta = 0 the tail vanishes at every positive
+    frequency and the quantile is defined as exactly 0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -122,10 +117,6 @@ def gamma_bin(n: int, delta: float, eps_sq: float) -> float:
         raise ValueError(f"eps_sq must lie in (0, 1), got {eps_sq}")
     if delta == 0.0:
         return 0.0
-
-    # Smallest integer k in [0, n + 1] whose tail P[X >= k] is <= eps_sq.
-    # The tail is non-increasing in k, with P[X >= n + 1] = 0, so a valid k
-    # always exists.
     lo, hi = 0, n + 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -133,8 +124,24 @@ def gamma_bin(n: int, delta: float, eps_sq: float) -> float:
             hi = mid
         else:
             lo = mid + 1
+    return lo / n
 
-    c = lo / n - delta
+
+def gamma_bin(n: int, delta: float, eps_sq: float) -> float:
+    """Smallest deviation c with binomial_tail(n, delta, c) <= eps_sq.
+
+    The tail is a step function of c, changing only where the threshold
+    ceil(n*(delta+c)) crosses an integer, so c is the excess of
+    ``binomial_quantile`` over delta and sits exactly on that grid.  The
+    result satisfies
+
+        binomial_tail(n, delta, c) <= eps_sq, and
+        binomial_tail(n, delta, c - 1/n) > eps_sq   (whenever c >= 1/n).
+
+    For delta = 0 the tail vanishes for every positive c and the inverse is
+    defined as exactly 0.
+    """
+    c = binomial_quantile(n, delta, eps_sq) - delta
     if c <= 0.0:
         return 0.0
     # Cannot exceed the empty-tail endpoint.

@@ -234,15 +234,10 @@ class TestSampleObservations:
 def test_channel_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(transmissivity=0.0, misalignment_deg=0.0, detector=REF_DET, n_total=10)
-    with pytest.raises(ValueError):
-        ChannelSpec(
-            transmissivity=0.5,
-            misalignment_deg=0.0,
-            detector=REF_DET,
-            n_total=10,
-            p_z_alice=0.7,
-            p_x_alice=0.7,
-        )
+    with pytest.raises(ValueError, match="^p_z_bob"):
+        ChannelSpec(transmissivity=0.5, misalignment_deg=0.0, detector=REF_DET, n_total=10, p_z_bob=1.0)
+    ch = ChannelSpec(transmissivity=0.5, misalignment_deg=0.0, detector=REF_DET, n_total=10, p_z_alice=0.7)
+    assert (ch.p_x_alice, ch.p_x_bob) == (1.0 - 0.7, 0.5)
 
 
 @st.composite

@@ -261,6 +261,37 @@ class TestErrorPaths:
         assert run_cli("keyrate", "--config", str(path)) == 2
         assert "f_ec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, value, where",
+        [
+            ("detector", {"eta_det": True}, "detector.eta_det"),
+            ("detector", {"delta_eta": False}, "detector.delta_eta"),
+            ("decoy", {"intensities": [0.9, 0.1, False]}, "decoy.intensities[2]"),
+            ("channel", {"misalignment_deg": True}, "channel.misalignment_deg"),
+            ("channel", {"n_total": True}, "channel.n_total"),
+            ("scan", {"loss_db": [True, 0]}, "scan.loss_db[0]"),
+        ],
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, section, value, where):
+        cfg = dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **value)})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("keyrate", "--config", str(path), "--out", str(tmp_path / "scan.csv")) == 2
+        assert where in capsys.readouterr().err
+
+    def test_boolean_observation_rejected(self, config_path, tmp_path, capsys):
+        path = tmp_path / "obs.json"
+        path.write_text('{"n_x": [10, 10, 10], "n_k": [10, 10, 10], "e_x": [0, 0, 0], "e_z": true}')
+        assert run_cli("keyrate", "--config", config_path, "--observations", str(path)) == 2
+        assert "e_z" in capsys.readouterr().err
+
+    def test_derived_basis_probability_is_unknown(self, tmp_path, capsys):
+        cfg = dict(BASE_CONFIG, channel=dict(BASE_CONFIG["channel"], p_x_alice=0.5))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("keyrate", "--config", str(path)) == 2
+        assert "p_x_alice" in capsys.readouterr().err
+
     def test_out_of_range_verify_field(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"verify": {"constant_photons": 7}}))

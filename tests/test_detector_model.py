@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bb84mm.detector_model import (
     MAX_BLOCK_PHOTONS,
@@ -235,6 +237,26 @@ class TestOracleDeltas:
         assert oracle.delta2 <= closed.delta2 + 1e-9
         assert oracle.delta1 > 0.0
         assert oracle.delta2 > 0.0
+
+    @settings(max_examples=60)
+    @given(
+        eta_det=st.floats(0.05, 0.95),
+        d_det=st.one_of(st.just(0.0), st.floats(1e-9, 1e-3)),
+        delta_eta=st.floats(0.0, 0.05),
+        delta_dc=st.floats(0.0, 0.05),
+        n_max=st.integers(1, 6),
+        interior_samples=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_oracle_never_exceeds_closed_form(
+        self, eta_det, d_det, delta_eta, delta_dc, n_max, interior_samples, seed
+    ):
+        # d_min = d_det (1 - delta_dc) stays > 0 whenever d_det > 0.
+        spec = DetectorSpec(eta_det, d_det, delta_eta, delta_dc)
+        oracle = oracle_deltas(spec, n_max=n_max, interior_samples=interior_samples, seed=seed)
+        closed = closed_form_deltas(spec)
+        assert oracle.delta1 <= closed.delta1 + 1e-12
+        assert oracle.delta2 <= closed.delta2 + 1e-12
 
     @pytest.mark.parametrize(
         "spec",

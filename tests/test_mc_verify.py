@@ -19,9 +19,10 @@ from bb84mm.decoy import DecoyConfig
 from bb84mm.mc_verify import (
     TrialConfig,
     _chain_visits,
-    _draw_counts,
     _intensity_counts,
     _serfling_counts,
+    _tails,
+    _tails_at,
     poisson_binomial_pmf,
     verify_decoy_hoeffding,
     verify_freq_transfer,
@@ -91,14 +92,28 @@ class TestKernels:
         draws = np.stack(_serfling_counts(3, 2, 0.3, 0.5, 100_000, np.random.default_rng(11)), axis=1)
         assert _gof_pvalue(draws, exact) >= GOF_ALPHA
 
-    def test_bernoulli_counts_mean(self):
-        counts = _draw_counts(poisson_binomial_pmf(np.full(200, 0.25)), 4000, np.random.default_rng(3))
-        assert abs(counts.mean() - 50.0) < 1.0
+    @settings(max_examples=60)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=300))
+    def test_tails_are_upper_sums(self, p):
+        pmf = poisson_binomial_pmf(p)
+        tails = _tails(pmf)
+        assert tails.shape == (len(p) + 2,) and tails[-1] == 0.0
+        for k in range(len(p) + 1):
+            assert math.isclose(tails[k], pmf[k:].sum(), rel_tol=1e-12, abs_tol=0.0)
 
-    def test_draws_match_pmf(self):
+    def test_histogram_matches_pmf(self):
         pmf = poisson_binomial_pmf([0.1, 0.5, 0.9, 0.3])
-        counts = _draw_counts(pmf, 100_000, np.random.default_rng(4))
-        assert _gof_pvalue(counts, {(k,): v for k, v in enumerate(pmf)}) >= GOF_ALPHA
+        exact, freq = _tails_at(pmf, 100_000, np.random.default_rng(4), np.arange(6))
+        assert np.array_equal(exact, _tails(pmf))
+        hist = np.rint(-np.diff(freq) * 100_000)
+        assert stats.chisquare(hist, pmf * 100_000).pvalue >= GOF_ALPHA
+
+    def test_thresholds_outside_the_counts_clamp(self):
+        pmf = poisson_binomial_pmf(np.full(50, 0.3))
+        exact, freq = _tails_at(pmf, 1000, np.random.default_rng(5), [-3, 0, 51, 60])
+        total = _tails(pmf)[0]
+        assert exact.tolist() == [total, total, 0.0, 0.0]
+        assert freq.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_pmf_matches_binomial_at_n_2000(self):
         k = np.arange(2001)

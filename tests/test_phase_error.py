@@ -85,6 +85,18 @@ class TestBoundMismatch:
         assert b.value == 1.0
         assert not b.vacuous
 
+    @pytest.mark.parametrize(
+        "before, after",
+        [((0.25, 0.0), (0.25001, 0.0)), ((0.0, 0.0625), (0.0, 0.06251))],
+    )
+    def test_monotone_in_deltas_to_the_last_bit(self, before, after):
+        # delta + (quantile - delta) once rounded 1 ulp below the smaller
+        # delta's bound (0.9919600419381753 -> ...752, 0.7876607857854475
+        # -> ...474).
+        def value(deltas):
+            return bound_mismatch(q(0.0, 2, 58, *deltas, eps=0.5)).value
+
+        assert value(after) >= value(before)
 
     @settings(max_examples=150)
     @given(

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bb84mm.stat_bounds import (
     TailQuery,
@@ -185,6 +187,18 @@ class TestGammaBin:
         c = gamma_bin(10**12, 0.01, 1e-24)
         assert 0.0 < c < 1e-4
         assert binomial_tail(TailQuery(n=10**12, delta=0.01, c=c)) <= 1e-24
+
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(1, 10**12),
+        delta=st.floats(0.0, 1.0, exclude_min=True),
+        eps_sq=st.floats(1e-30, 0.5),
+    )
+    def test_postcondition_everywhere(self, n, delta, eps_sq):
+        c = gamma_bin(n, delta, eps_sq)
+        assert binomial_tail(TailQuery(n=n, delta=delta, c=min(c, 1.0))) <= eps_sq
+        if c >= 1.0 / n:
+            assert binomial_tail(TailQuery(n=n, delta=delta, c=min(c - 1.0 / n, 1.0))) > eps_sq
 
 
 class TestGammaSerf:
