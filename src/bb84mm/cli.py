@@ -6,8 +6,10 @@ observations file), ``delta`` (closed-form and oracle mismatch metrics),
 (honest-channel observations), ``verify`` (Monte Carlo lemma checks).
 
 All inputs come from a JSON config file; every output embeds the fully
-resolved configuration for reproducibility.  Exit codes: 0 success, 2
-configuration error, 3 numeric failure.
+resolved configuration for reproducibility.  Each config section and each
+observations record is built by the dataclass that owns it, so an unknown
+section or key is an error.  Exit codes: 0 success, 2 configuration error,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from typing import Any
 
 from bb84mm.channel_sim import ChannelSpec, expected_observations, sample_observations
-from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
+from bb84mm.decoy import DecoyConfig, Observations, OutcomeCounts, decoy_bounds
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas, oracle_deltas
 from bb84mm.keyrate import (
     DEFAULT_EC_EFFICIENCY,
@@ -82,20 +84,38 @@ def _reject_booleans(value: Any, path: str, where: str) -> None:
             _reject_booleans(item, path, f"{where}[{i}]")
 
 
+# Config sections, with the keys of the two that no dataclass owns; the
+# dataclasses reject unknown keys of the others.
+_SECTIONS = {
+    "detector": None, "decoy": None, "channel": None, "epsilons": None, "verify": None,
+    "error_correction": {"f_ec"}, "scan": {"loss_db"},
+}
+
+
+def _load_config(path: str) -> dict:
+    cfg = _load_json(path)
+    for name, sec in cfg.items():
+        if name not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown config section '{name}'")
+        if not isinstance(sec, dict):
+            raise ConfigError(f"{path}: config section '{name}' must be an object")
+        unknown = sorted(set(sec) - _SECTIONS[name]) if _SECTIONS[name] else []
+        if unknown:
+            raise ConfigError(f"{path}: unknown key '{name}.{unknown[0]}'")
+    return cfg
+
+
 def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    sec = cfg.get(name)
-    if sec is None:
-        if required:
-            raise ConfigError(f"missing config section '{name}'")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    return sec
+    if required and name not in cfg:
+        raise ConfigError(f"missing config section '{name}'")
+    return cfg.get(name, {})
 
 
-def _build(cls, section: dict, path: str, **extra):
+def _build(cls, record: dict, path: str, **extra):
+    """cls from a JSON record, its arrays as tuples."""
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in record.items()}
     try:
-        return cls(**section, **extra)
+        return cls(**fields, **extra)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -105,21 +125,24 @@ def _detector(cfg: dict) -> DetectorSpec:
 
 
 def _decoy_config(cfg: dict) -> DecoyConfig:
-    sec = _section(cfg, "decoy")
-    sec = {k: tuple(v) if isinstance(v, list) else v for k, v in sec.items()}
-    return _build(DecoyConfig, sec, "decoy")
+    return _build(DecoyConfig, _section(cfg, "decoy"), "decoy")
 
 
 def _budget(cfg: dict) -> EpsilonBudget:
     return _build(EpsilonBudget, _section(cfg, "epsilons", required=False), "epsilons")
 
 
+def _losses(cfg: dict) -> list[float]:
+    losses = _section(cfg, "scan").get("loss_db")
+    if not isinstance(losses, list) or not all(isinstance(x, (int, float)) for x in losses):
+        raise ConfigError("scan.loss_db must be a list of numbers")
+    return [float(x) for x in losses]
+
+
 def _channel(cfg: dict, loss_db: float) -> ChannelSpec:
-    sec = dict(_section(cfg, "channel"))
-    sec.pop("loss_db", None)
     return _build(
         ChannelSpec,
-        sec,
+        _section(cfg, "channel"),
         "channel",
         transmissivity=10.0 ** (-loss_db / 10.0),
         detector=_detector(cfg),
@@ -159,39 +182,14 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _observations_from_file(path: str) -> Observations:
-    """Accepts either the full observation record (n_x/n_k/e_x/e_z, as
-    emitted by ``simulate``) or bare per-intensity class counts
-    (x/x_err/k); the latter suffices for the decoy bounds."""
-    data = _load_json(path)
-    if "observations" in data:
-        data = data["observations"]
-    try:
-        if "x" in data and "n_x" not in data:
-            n_x = tuple(float(v) for v in data["x"])
-            n_err = tuple(float(v) for v in data["x_err"])
-            e_x = tuple(err / n if n > 0 else 0.0 for n, err in zip(n_x, n_err))
-            return Observations(
-                n_x=n_x, n_k=tuple(float(v) for v in data["k"]), e_x=e_x,
-                e_z=float(data.get("e_z", 0.0)),
-            )
-        return Observations(
-            n_x=tuple(data["n_x"]),
-            n_k=tuple(data["n_k"]),
-            e_x=tuple(data["e_x"]),
-            e_z=float(data["e_z"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad observations record: {exc}") from exc
-
-
-def _observations_payload(obs: Observations) -> dict:
-    return {
-        "n_x": list(obs.n_x),
-        "n_k": list(obs.n_k),
-        "e_x": list(obs.e_x),
-        "e_z": obs.e_z,
-    }
+def _observation_record(path: str) -> dict:
+    """The record at the top level of the file, or under "observations" as
+    ``simulate`` writes it."""
+    record = _load_json(path)
+    record = record.get("observations", record)
+    if not isinstance(record, dict):
+        raise ConfigError(f"{path}: observations must be an object")
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +198,7 @@ def _observations_payload(obs: Observations) -> dict:
 
 
 def cmd_keyrate(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_config(args.config)
     decoy_cfg = _decoy_config(cfg)
     budget = _budget(cfg)
     detector = _detector(cfg)
@@ -208,50 +206,35 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
     f_ec = _f_ec(cfg)
 
     if args.observations:
-        obs = _observations_from_file(args.observations)
+        obs = _build(Observations, _observation_record(args.observations), args.observations)
         decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
         _emit_json(
             {
                 "config": _resolved(cfg),
-                "key_length": decision.key_length,
-                "lambda_ec": decision.lambda_ec,
-                "phase_bound": decision.phase_bound,
-                "feasible": decision.feasible,
+                **dataclasses.asdict(decision),
                 "security_parameter": budget.security_parameter(decoy=True),
             },
             args.out,
         )
         return EXIT_OK
 
-    scan = _section(cfg, "scan")
-    losses = scan.get("loss_db")
-    if not isinstance(losses, list) or not all(isinstance(x, (int, float)) for x in losses):
-        raise ConfigError("scan.loss_db must be a list of numbers")
-
+    losses = _losses(cfg)
     lines = ["# config=" + json.dumps(_resolved(cfg), sort_keys=True), CSV_HEADER]
     for loss in losses:
-        ch = _channel(cfg, float(loss))
+        ch = _channel(cfg, loss)
         obs = expected_observations(ch, decoy_cfg)
         decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
         rate = decision.key_length / ch.n_total
         lines.append(
-            ",".join(
-                [
-                    _fmt(float(loss)),
-                    _fmt(rate),
-                    str(decision.key_length),
-                    _fmt(decision.phase_bound),
-                    _fmt(deltas.delta1),
-                    _fmt(deltas.delta2),
-                ]
-            )
+            f"{_fmt(loss)},{_fmt(rate)},{decision.key_length},{_fmt(decision.phase_bound)},"
+            f"{_fmt(deltas.delta1)},{_fmt(deltas.delta2)}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_config(args.config)
     detector = _detector(cfg)
     closed = closed_form_deltas(detector)
     try:
@@ -269,37 +252,41 @@ def cmd_delta(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_BARE_CLASSES = ("x", "x_err", "k")
+
+
 def cmd_decoy(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_config(args.config)
     decoy_cfg = _decoy_config(cfg)
     eps_d_sq = _budget(cfg).eps_at_d ** 2
-    obs = _observations_from_file(args.observations)
-    classes = {
-        "x": obs.counts_x(),
-        "x_err": obs.counts_x_err(),
-        "k": obs.counts_k(),
-    }
+    path = args.observations
+    record = _observation_record(path)
+    if record.keys() == set(_BARE_CLASSES):
+        classes = {
+            name: _build(OutcomeCounts, {"counts": record[name]}, f"{path}: {name}")
+            for name in _BARE_CLASSES
+        }
+        echo = {name: counts.counts for name, counts in classes.items()}
+    else:
+        obs = _build(Observations, record, path)
+        classes = {"x": obs.counts_x(), "x_err": obs.counts_x_err(), "k": obs.counts_k()}
+        echo = dataclasses.asdict(obs)
     names = ("vacuum_lower", "single_lower", "single_upper")
     bounds = {
         name: dict(zip(names, decoy_bounds(counts, decoy_cfg, eps_d_sq)))
         for name, counts in classes.items()
     }
-    _emit_json(
-        {
-            "config": _resolved(cfg, observations=_observations_payload(obs)),
-            "bounds": bounds,
-        },
-        args.out,
-    )
+    _emit_json({"config": _resolved(cfg, observations=echo), "bounds": bounds}, args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_config(args.config)
     decoy_cfg = _decoy_config(cfg)
-    scan = _section(cfg, "scan", required=False)
-    losses = scan.get("loss_db", [0.0])
-    loss = float(losses[0]) if isinstance(losses, list) and losses else 0.0
+    losses = _losses(cfg) if "scan" in cfg else [0.0]
+    if not losses:
+        raise ConfigError("scan.loss_db is empty: simulate runs at its first entry")
+    loss = losses[0]
     ch = _channel(cfg, loss)
     if args.seed is None:
         obs = expected_observations(ch, decoy_cfg)
@@ -313,7 +300,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _emit_json(
         {
             "config": _resolved(cfg, loss_db=loss, seed=args.seed, mode=mode),
-            "observations": _observations_payload(obs),
+            "observations": dataclasses.asdict(obs),
         },
         args.out,
     )
@@ -329,9 +316,9 @@ _VERIFIERS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = _load_config(args.config) if args.config else {}
     section = _section(cfg, "verify", required=False)
-    overrides = {k: v for k, v in section.items()}
+    overrides = dict(section)
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.seed is not None:

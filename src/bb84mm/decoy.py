@@ -48,8 +48,9 @@ class DecoyConfig:
 
     def __post_init__(self) -> None:
         for name in ("intensities", "probabilities"):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            values = getattr(self, name)
+            if len(values) != 3 or not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be 3 finite numbers, one per intensity, got {values}")
         mu1, mu2, mu3 = self.intensities
         if not (mu1 > mu2 + mu3 and mu2 > mu3 >= 0.0):
             raise ValueError(
@@ -69,8 +70,8 @@ class DecoyConfig:
 
 def _check_counts(name: str, counts) -> None:
     # `c < 0` is false for NaN, so finiteness is checked explicitly.
-    if not all(math.isfinite(c) and c >= 0 for c in counts):
-        raise ValueError(f"{name} must be finite and nonnegative, got {counts}")
+    if len(counts) != 3 or not all(math.isfinite(c) and c >= 0 for c in counts):
+        raise ValueError(f"{name} must be 3 finite nonnegative counts, one per intensity, got {counts}")
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,10 @@ class Observations:
         _check_counts("n_x", self.n_x)
         _check_counts("n_k", self.n_k)
         # NaN fails both comparisons, so it is rejected here too.
-        for name, rates in (("e_x", self.e_x), ("e_z", (self.e_z,))):
-            if not all(0.0 <= e <= 1.0 for e in rates):
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if len(self.e_x) != 3 or not all(0.0 <= e <= 1.0 for e in self.e_x):
+            raise ValueError(f"e_x must be 3 rates in [0, 1], one per intensity, got {self.e_x}")
+        if not 0.0 <= self.e_z <= 1.0:
+            raise ValueError(f"e_z must lie in [0, 1], got {self.e_z}")
 
     @property
     def n_x_err(self) -> tuple[float, float, float]:

@@ -69,6 +69,9 @@ class EpsilonBudget:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
+            # The acceptance-test epsilons enter the bounds squared.
+            if name.startswith("eps_at") and v * v == 0.0:
+                raise ValueError(f"{name} squared underflows to 0, got {v}")
 
     @classmethod
     def equal(cls, eps: float) -> "EpsilonBudget":

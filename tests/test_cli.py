@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bb84mm import cli
 from bb84mm.channel_sim import ChannelSpec, expected_observations
-from bb84mm.decoy import DecoyConfig
+from bb84mm.decoy import DecoyConfig, OutcomeCounts, decoy_bounds
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas
 from bb84mm.keyrate import EpsilonBudget, key_length_decoy
 
@@ -201,6 +203,78 @@ class TestDecoyBareCountsFormat:
         assert payload["bounds"]["x"]["single_lower"] > 0
 
 
+    def test_bare_counts_read_without_rates(self, config_path, tmp_path):
+        # The third intensity has errors but no X counts: no error rate can
+        # carry them, so the counts are read as they are.
+        counts = {"x": [1e9, 1e8, 0.0], "x_err": [1e7, 1e6, 50.0], "k": [1e9, 1e8, 0.0]}
+        obs_path = tmp_path / "counts.json"
+        obs_path.write_text(json.dumps(counts))
+        out = tmp_path / "bounds.json"
+        assert run_cli(
+            "decoy", "--config", config_path, "--observations", str(obs_path), "--out", str(out)
+        ) == 0
+        payload = json.loads(out.read_text())
+        expected = decoy_bounds(
+            OutcomeCounts((1e7, 1e6, 50.0)), DecoyConfig.reference(), EpsilonBudget().eps_at_d**2
+        )
+        got = payload["bounds"]["x_err"]
+        assert (got["vacuum_lower"], got["single_lower"], got["single_upper"]) == expected
+        assert payload["config"]["observations"] == counts
+
+
+BARE_COUNTS = {"x": [9e5, 1e6, 1e5], "x_err": [900.0, 1200.0, 50000.0], "k": [8e5, 9e5, 9e4]}
+FULL_RECORD = {"n_x": [9e5, 1e6, 1e5], "n_k": [8e5, 9e5, 9e4], "e_x": [1e-3, 1e-3, 0.5], "e_z": 0.01}
+
+
+def _with(section, **fields):
+    """BASE_CONFIG with fields set in one section."""
+    return dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **fields)})
+
+
+# Each case exits 2 and names its key; each used to run (exit 0) or fail
+# deep in the library (exit 1).
+BOUNDARY_CASES = {
+    "keyrate-bare-counts": ("keyrate", BASE_CONFIG, BARE_COUNTS, "'x'"),
+    "keyrate-bare-counts-e_z": ("keyrate", BASE_CONFIG, dict(BARE_COUNTS, e_z=0.01), "'x'"),
+    "decoy-bare-counts-extra-key": ("decoy", BASE_CONFIG, dict(BARE_COUNTS, e_z=0.01), "'x'"),
+    "keyrate-channel.loss_db": ("keyrate", _with("channel", loss_db=5.0), None, "loss_db"),
+    "simulate-channel.loss_db": ("simulate", _with("channel", loss_db=5.0), None, "loss_db"),
+    "simulate-scan.loss_db-string": ("simulate", _with("scan", loss_db="zero"), None, "scan.loss_db"),
+    "simulate-scan.loss_db-strings": ("simulate", _with("scan", loss_db=["5"]), None, "scan.loss_db"),
+    "epsilon-section": ("keyrate", dict(BASE_CONFIG, epsilon={"eps_pa": 1e-20}), None, "'epsilon'"),
+    "error_correction.fec": ("keyrate", _with("error_correction", fec=1.5), None, "error_correction.fec"),
+    "scan.loss": ("keyrate", _with("scan", loss=[0.0]), None, "scan.loss"),
+    "keyrate-two-probabilities": ("keyrate", _with("decoy", probabilities=[0.5, 0.5]), None, "probabilities"),
+    "simulate-two-probabilities": ("simulate", _with("decoy", probabilities=[0.5, 0.5]), None, "probabilities"),
+    "verify-two-probabilities": ("verify", _with("decoy", probabilities=[0.5, 0.5]), None, "probabilities"),
+    "keyrate-2-n_x": ("keyrate", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6]), "n_x"),
+    "keyrate-4-n_x": ("keyrate", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6, 1e5, 1e5]), "n_x"),
+    "decoy-2-n_x": ("decoy", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6]), "n_x"),
+    "decoy-4-n_x": ("decoy", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6, 1e5, 1e5]), "n_x"),
+    **{
+        f"keyrate-{name}-1e-200": ("keyrate", _with("epsilons", **{name: 1e-200}), None, name)
+        for name in ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, record, key", list(BOUNDARY_CASES.values()), ids=list(BOUNDARY_CASES)
+)
+def test_boundary_case_exits_2_and_names_its_key(tmp_path, capsys, command, cfg, record, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if record is not None:
+        obs_path = tmp_path / "obs.json"
+        obs_path.write_text(json.dumps(record))
+        argv += ["--observations", str(obs_path)]
+    if command == "verify":
+        argv += ["--lemma", "decoy", "--trials", "1000"]
+    assert run_cli(*argv) == 2
+    assert key in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_report_schema(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -335,6 +409,23 @@ class TestErrorPaths:
         assert run_cli("simulate", "--config", str(path), "--seed", "1") == 2
         assert field in capsys.readouterr().err
         assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "obs.json")) == 0
+
+
+def test_readme_config_runs_every_subcommand(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A config covering every subcommand:\s*```json\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(block.group(1))
+    c, out = str(cfg), str(tmp_path / "out")
+    assert run_cli("keyrate", "--config", c, "--out", out) == 0
+    assert run_cli("delta", "--config", c, "--nmax", "2", "--out", out) == 0
+    for seed in ([], ["--seed", "7"]):
+        obs = str(tmp_path / "obs.json")
+        assert run_cli("simulate", "--config", c, *seed, "--out", obs) == 0
+        assert run_cli("decoy", "--config", c, "--observations", obs, "--out", out) == 0
+        assert run_cli("keyrate", "--config", c, "--observations", obs, "--out", out) == 0
+    verify = ["--lemma", "serfling", "--trials", "1000", "--seed", "1"]
+    assert run_cli("verify", "--config", c, *verify, "--out", out) == 0
 
 
 def test_console_entry_point(config_path):

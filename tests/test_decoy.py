@@ -205,3 +205,22 @@ class TestObservations:
             Observations(n_x=(0, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=bad)
         with pytest.raises(ValueError, match="counts"):
             OutcomeCounts((1.0, bad, 2.0))
+
+
+@pytest.mark.parametrize("entries", [2, 4])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("intensities", lambda v: DecoyConfig(v, (1 / 3, 1 / 3, 1 / 3))),
+        ("probabilities", lambda v: DecoyConfig((0.9, 0.1, 0.0), v)),
+        ("n_x", lambda v: Observations(n_x=v, n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=0.0)),
+        ("n_k", lambda v: Observations(n_x=(0, 0, 0), n_k=v, e_x=(0, 0, 0), e_z=0.0)),
+        ("e_x", lambda v: Observations(n_x=(0, 0, 0), n_k=(0, 0, 0), e_x=v, e_z=0.0)),
+        ("counts", OutcomeCounts),
+    ],
+)
+def test_three_entries_per_intensity(field, build, entries):
+    # Entries chosen so that only their number is wrong.
+    values = {2: (0.5, 0.5), 4: (0.4, 0.3, 0.2, 0.1)}[entries]
+    with pytest.raises(ValueError, match=f"{field} must be 3 .*one per intensity"):
+        build(values)

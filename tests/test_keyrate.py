@@ -80,6 +80,13 @@ class TestEpsilonBudget:
         with pytest.raises(ValueError):
             EpsilonBudget(eps_pa=0.0)
 
+    @pytest.mark.parametrize("name", ["eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d"])
+    def test_square_must_not_underflow(self, name):
+        with pytest.raises(ValueError, match=f"{name} squared underflows"):
+            EpsilonBudget(**{name: 1e-200})
+        # eps_pa and eps_ev enter only logarithms.
+        assert EpsilonBudget(eps_pa=1e-200, eps_ev=1e-200).security_parameter() > 0
+
 
 class TestKeyLengthSinglePhoton:
     def test_vacuous_phase_bound_kills_key(self):
