@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from typing import Any
 
 from bb84mm.channel_sim import ChannelSpec, expected_observations, sample_observations
@@ -132,10 +133,24 @@ def _budget(cfg: dict) -> EpsilonBudget:
     return _build(EpsilonBudget, _section(cfg, "epsilons", required=False), "epsilons")
 
 
+def _transmissivity(loss_db: float) -> float:
+    return 10.0 ** (-loss_db / 10.0)
+
+
 def _losses(cfg: dict) -> list[float]:
     losses = _section(cfg, "scan").get("loss_db")
     if not isinstance(losses, list) or not all(isinstance(x, (int, float)) for x in losses):
         raise ConfigError("scan.loss_db must be a list of numbers")
+    for i, x in enumerate(losses):
+        try:
+            ok = x >= 0.0 and _transmissivity(x) > 0.0
+        except OverflowError:  # an integer too large for a float
+            ok = False
+        if not ok:
+            raise ConfigError(
+                f"scan.loss_db[{i}] must be a loss in dB >= 0 whose transmissivity "
+                f"10^(-loss/10) is > 0, got {x!r}"
+            )
     return [float(x) for x in losses]
 
 
@@ -144,7 +159,7 @@ def _channel(cfg: dict, loss_db: float) -> ChannelSpec:
         ChannelSpec,
         _section(cfg, "channel"),
         "channel",
-        transmissivity=10.0 ** (-loss_db / 10.0),
+        transmissivity=_transmissivity(loss_db),
         detector=_detector(cfg),
     )
 
@@ -326,11 +341,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trial_cfg = _build(TrialConfig, overrides, "verify")
     verifier = _VERIFIERS[args.lemma]
     extra = (_decoy_config(cfg),) if args.lemma == "decoy" and "decoy" in cfg else ()
+    start = time.perf_counter()
     try:
         report = verifier(trial_cfg, *extra)
     except ValueError as exc:
         raise ConfigError(f"verify: {exc}") from exc
     payload = report.as_dict()
+    payload["wall_s"] = time.perf_counter() - start
     payload["config"] = _resolved(cfg, verify=dataclasses.asdict(trial_cfg), lemma=args.lemma)
     _emit_json(payload, args.out)
     return EXIT_OK if report.passed else EXIT_NUMERIC

@@ -19,8 +19,10 @@ Each verifier samples only the statistic it reads, from its exact
 distribution, instead of simulating rounds: multinomials for the Serfling
 assignment, one Multinomial(trials, pmf) histogram over the Poisson-binomial
 pmf for click counts (its upper tails give every threshold's frequency, the
-pmf's own the exact probability), and run lengths of the photon-number
-chain followed by per-level multinomials for the decoy counts.  Each
+pmf's own the exact probability), and, for the decoy counts, the
+photon-level visits of the sticky chain drawn in closed form (a binomial
+number of runs, a multinomial of runs per level, a Dirichlet-multinomial
+of their extra rounds) followed by per-level multinomials.  Each
 verifier is deterministic given ``cfg.seed`` and reports the empirical
 violation frequency, the analytic bound, the exact binomial standard error
 of the empirical frequency, and a pass flag meaning
@@ -59,9 +61,13 @@ __all__ = [
 # Strata below this trial count are reported but not asserted.
 MIN_STRATUM = 100
 
-# Relative slack of the exact-probability checks: the pmf recursion and the
-# incomplete-beta tail agree to about 1e-14 where they compute the same value.
+# Relative slack of the exact-probability checks: the pmf product tree and
+# the incomplete-beta tail agree to about 3e-14 where they compute the same value.
 EXACT_RTOL = 1e-12
+
+# The transfer profile's rates spread up to 0.05 either side of base_rate
+# but never below this.
+MIN_TRANSFER_RATE = 0.01
 
 PROFILES = ("extremal", "heterogeneous", "zero")
 # Closed range of each numeric TrialConfig field, and whether it is an
@@ -88,7 +94,7 @@ SAMPLERS = {
     "serfling": "multinomial (test, key, neither) counts among the ones and among the zeros",
     "smallpovm": "histogram of the Poisson-binomial click count, one multinomial over the exact pmf",
     "transfer": "two independent click-count histograms, one multinomial over each profile's Poisson-binomial pmf",
-    "decoy": "sticky-chain photon-level visits from Geometric run lengths, then per-level multinomials",
+    "decoy": "sticky-chain photon-level visits from a binomial run count, a multinomial of runs per level and a Dirichlet-multinomial of their lengths, then per-level multinomials",
 }
 
 
@@ -173,17 +179,33 @@ def _rng(cfg: TrialConfig, name: str) -> np.random.Generator:
 def poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
     """pmf of the number of successes among independent Bernoulli(p_i).
 
-    The O(n^2) recursion (one of the methods Hong 2013, CSDA 59:41-51,
-    compares) adds one round at a time; each step is a convex combination,
-    so nothing cancels.
+    The pmf is the coefficient list of the product of the rounds'
+    polynomials (1 - p_i) + p_i z, multiplied pairwise up a balanced tree
+    (one of the exact methods Hong 2013, CSDA 59:41-51, compares).  The
+    rounds are padded to a power of two with the factor 1, which changes
+    nothing.  A level with at least as many products as coefficients per
+    factor loops over the coefficients, batched across the products;
+    above it, each product is one ``np.convolve``.  Every term is a
+    product of nonnegative numbers, so nothing cancels and small tails
+    keep their relative accuracy (an FFT would not: its absolute error
+    near 1e-16 swamps them).
     """
     p = np.asarray(p, dtype=np.float64)
-    pmf = np.zeros(p.size + 1)
-    pmf[0] = 1.0
-    for i, pi in enumerate(p):
-        pmf[1 : i + 2] = pmf[1 : i + 2] * (1.0 - pi) + pmf[: i + 1] * pi
-        pmf[0] *= 1.0 - pi
-    return pmf
+    n = p.size
+    polys = np.zeros((1 << (max(n, 1) - 1).bit_length(), 2))
+    polys[:, 0] = 1.0
+    polys[:n, 0] -= p
+    polys[:n, 1] = p
+    while polys.shape[0] > 1:
+        a, b = polys[0::2], polys[1::2]
+        rows, width = b.shape
+        if rows >= width:
+            polys = np.zeros((rows, 2 * width - 1))
+            for j in range(width):
+                polys[:, j : j + width] += a[:, j : j + 1] * b
+        else:
+            polys = np.stack([np.convolve(x, y) for x, y in zip(a, b)])
+    return polys[0, : n + 1]
 
 
 def _tails(v: np.ndarray) -> np.ndarray:
@@ -224,23 +246,32 @@ def _chain_visits(n: int, trials: int, levels: int, stay: float, constant: int, 
     """Per-trial visit counts (trials, levels) of the sticky photon chain.
 
     The chain starts at a uniform level; each later round keeps the level
-    with probability ``stay`` or redraws it uniformly.  So it is a sequence
-    of runs at fresh uniform levels with Geometric(1 - stay) lengths,
-    truncated at the rounds left, and the loop runs over runs, not rounds.
-    ``constant >= 0`` pins every round to that level.
+    with probability ``stay`` or redraws it uniformly, independently of
+    everything before.  The counts are drawn directly, with no loop:
+
+    * the redraws among the n - 1 gaps between rounds number
+      R ~ Binomial(n - 1, 1 - stay), and cut the rounds into R + 1 runs;
+    * each run has an IID uniform level, so the runs per level are
+      r ~ Multinomial(R + 1, 1/levels);
+    * given R, the cuts are a uniform R-subset of the gaps, so the run
+      lengths are a uniform composition of n into R + 1 positive parts,
+      independent of the levels.  Their excesses over one round are a
+      uniform composition of n - 1 - R into R + 1 nonnegative parts, i.e.
+      Dirichlet-multinomial with unit weights, and summed by level they
+      are Dirichlet-multinomial with weights r: Multinomial(n - 1 - R, w)
+      with w = g / sum(g), g_l ~ Gamma(r_l) (Gamma(0) is exactly 0).
+
+    The visits are r plus those excesses.  ``constant >= 0`` pins every
+    round to that level.
     """
-    visits = np.zeros((trials, levels), np.int64)
     if constant >= 0:
+        visits = np.zeros((trials, levels), np.int64)
         visits[:, constant] = n
         return visits
-    rows = np.arange(trials)
-    left = np.full(trials, n, np.int64)
-    while rows.size:
-        run = left[rows] if stay >= 1.0 else np.minimum(rng.geometric(1.0 - stay, rows.size), left[rows])
-        visits[rows, rng.integers(0, levels, rows.size)] += run
-        left[rows] -= run
-        rows = rows[left[rows] > 0]
-    return visits
+    redraws = rng.binomial(n - 1, 1.0 - stay, trials)
+    runs = rng.multinomial(redraws + 1, np.full(levels, 1.0 / levels))
+    g = rng.gamma(runs)
+    return runs + rng.multinomial(n - 1 - redraws, g / g.sum(axis=1, keepdims=True))
 
 
 def _intensity_counts(visits: np.ndarray, cond: np.ndarray, rng) -> np.ndarray:
@@ -361,8 +392,12 @@ def verify_freq_transfer(cfg: TrialConfig) -> VerifierReport:
     not conservative.  A row passes only if its exact sides (``exact_left``,
     ``exact_right``) satisfy the inequality too.
     """
+    if cfg.base_rate < MIN_TRANSFER_RATE:
+        raise ValueError(
+            f"base_rate must be >= {MIN_TRANSFER_RATE} for the transfer lemma, got {cfg.base_rate!r}"
+        )
     rng = _rng(cfg, "transfer")
-    half_width = min(cfg.base_rate - 0.01, 0.05)
+    half_width = min(cfg.base_rate - MIN_TRANSFER_RATE, 0.05)
     p = np.clip(rng.uniform(cfg.base_rate - half_width, cfg.base_rate + half_width, cfg.n), 0.0, 1.0)
     p_prime = np.clip(p + rng.uniform(-cfg.delta, cfg.delta, cfg.n), 0.0, 1.0)
     grid = [cfg.base_rate - 0.02, cfg.base_rate, cfg.base_rate + 0.02]

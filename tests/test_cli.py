@@ -283,8 +283,9 @@ class TestVerifyCommand:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert set(payload) >= {"empirical", "bound", "sigma", "pass"}
+        assert set(payload) >= {"empirical", "bound", "sigma", "pass", "wall_s"}
         assert payload["pass"] is True
+        assert isinstance(payload["wall_s"], float) and payload["wall_s"] >= 0.0
 
 
 class TestErrorPaths:
@@ -380,6 +381,25 @@ class TestErrorPaths:
     def test_out_of_range_delta_option(self, config_path, capsys, argv, field):
         assert run_cli("delta", "--config", config_path, *argv) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base_rate", [0.0, 0.005])
+    def test_transfer_base_rate_below_its_minimum(self, tmp_path, capsys, base_rate):
+        # The transfer profile spreads its rates down to 0.01; the other
+        # lemmas do not read base_rate, so TrialConfig accepts [0, 1].
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"verify": {"base_rate": base_rate, "trials": 1000}}))
+        assert run_cli("verify", "--lemma", "transfer", "--config", str(path)) == 2
+        assert "base_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["keyrate", "simulate"])
+    @pytest.mark.parametrize("loss", [4000.0, -1.0, 10**400], ids=["4000", "-1", "1e400-int"])
+    def test_loss_without_a_transmissivity_names_its_entry(self, tmp_path, capsys, command, loss):
+        # 10^(-400) underflows to 0; -1 dB would be a gain of 1.26; an
+        # integer literal of 401 digits has no float at all.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_with("scan", loss_db=[loss, 0.0])))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert "scan.loss_db[0]" in capsys.readouterr().err
 
     def test_too_many_photon_levels(self, tmp_path, capsys):
         # Above ~170 photons no intensity has a representable emission

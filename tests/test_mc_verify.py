@@ -45,6 +45,22 @@ def _enumerated_pmf(p):
     return out
 
 
+def _recursive_pmf(p):
+    """Poisson-binomial pmf by the O(n^2) recursion, one round at a time;
+    each step is a convex combination, so nothing cancels."""
+    pmf = np.zeros(len(p) + 1)
+    pmf[0] = 1.0
+    for i, pi in enumerate(p):
+        pmf[1 : i + 2] = pmf[1 : i + 2] * (1.0 - pi) + pmf[: i + 1] * pi
+        pmf[0] *= 1.0 - pi
+    return pmf
+
+
+# Round counts at and either side of every power of two the pmf's product
+# tree pads to.
+_POW2_SIZES = sorted({2**k + d for k in range(12) for d in (-1, 0, 1)})
+
+
 def _gof_pvalue(samples, exact):
     """Chi-square p-value of sampled rows against {row: probability}; a row
     that the exact distribution excludes fails outright."""
@@ -130,6 +146,44 @@ class TestKernels:
         assert math.isclose(pmf.sum(), 1.0, abs_tol=1e-12)
         assert math.isclose(pmf @ np.arange(len(p) + 1), sum(p), abs_tol=1e-12)
         assert np.allclose(pmf, _enumerated_pmf(p), rtol=0, atol=1e-14)
+
+    @settings(max_examples=40)
+    @given(
+        st.one_of(st.integers(0, 3000), st.sampled_from(_POW2_SIZES)),
+        st.sampled_from([1e-3, 0.01, 0.2, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pmf_matches_recursion(self, n, p_max, seed):
+        p = np.random.default_rng(seed).uniform(0.0, p_max, n)
+        tree, ref = poisson_binomial_pmf(p), _recursive_pmf(p)
+        assert tree.shape == ref.shape == (n + 1,)
+        big = ref > 1e-280
+        assert np.all((tree > 1e-280) == big)
+        assert np.allclose(tree[big], ref[big], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "n, levels, stay", [(1, 3, 0.4), (5, 3, 0.0), (5, 3, 1.0), (6, 3, 0.5), (6, 4, 0.2), (7, 2, 0.95)]
+    )
+    def test_chain_visits_match_enumeration(self, n, levels, stay):
+        exact = Counter()
+        for seq, prob in _chain_sequences(n, levels, stay):
+            if prob > 0.0:
+                exact[tuple(seq.count(m) for m in range(levels))] += prob
+        visits = _chain_visits(n, 100_000, levels, stay, -1, np.random.default_rng(14))
+        assert _gof_pvalue(visits, exact) >= GOF_ALPHA
+
+    def test_chain_visit_moments_at_scale(self):
+        n, levels, stay, trials = 2000, 3, 0.9, 20_000
+        x = _chain_visits(n, trials, levels, stay, -1, np.random.default_rng(15))[:, 0].astype(float)
+        # Var of a stationary chain's visits to one level: the covariance of
+        # rounds k apart is p(1 - p) stay^k.
+        p = 1.0 / levels
+        k = np.arange(1, n)
+        var = p * (1.0 - p) * (n + 2.0 * np.sum((n - k) * stay**k))
+        mean, s2 = x.mean(), x.var(ddof=1)
+        m4 = np.mean((x - mean) ** 4)
+        assert abs(mean - n * p) <= 5.0 * math.sqrt(var / trials)
+        assert abs(s2 - var) <= 5.0 * math.sqrt((m4 - s2**2) / trials)
 
     def test_chain_never_leaves_its_level_at_stay_one(self):
         assert np.all(_chain_visits(50, 1000, 3, 1.0, -1, np.random.default_rng(13)).max(axis=1) == 50)
