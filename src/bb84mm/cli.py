@@ -22,7 +22,7 @@ import time
 from typing import Any
 
 from bb84mm.channel_sim import ChannelSpec, expected_observations, sample_observations
-from bb84mm.decoy import DecoyConfig, Observations, OutcomeCounts, decoy_bounds
+from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas, oracle_deltas
 from bb84mm.keyrate import (
     DEFAULT_EC_EFFICIENCY,
@@ -267,31 +267,21 @@ def cmd_delta(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BARE_CLASSES = ("x", "x_err", "k")
-
-
 def cmd_decoy(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     decoy_cfg = _decoy_config(cfg)
     eps_d_sq = _budget(cfg).eps_at_d ** 2
-    path = args.observations
-    record = _observation_record(path)
-    if record.keys() == set(_BARE_CLASSES):
-        classes = {
-            name: _build(OutcomeCounts, {"counts": record[name]}, f"{path}: {name}")
-            for name in _BARE_CLASSES
-        }
-        echo = {name: counts.counts for name, counts in classes.items()}
-    else:
-        obs = _build(Observations, record, path)
-        classes = {"x": obs.counts_x(), "x_err": obs.counts_x_err(), "k": obs.counts_k()}
-        echo = dataclasses.asdict(obs)
+    obs = _build(Observations, _observation_record(args.observations), args.observations)
+    classes = {"x": obs.counts_x(), "x_err": obs.counts_x_err(), "k": obs.counts_k()}
     names = ("vacuum_lower", "single_lower", "single_upper")
     bounds = {
         name: dict(zip(names, decoy_bounds(counts, decoy_cfg, eps_d_sq)))
         for name, counts in classes.items()
     }
-    _emit_json({"config": _resolved(cfg, observations=echo), "bounds": bounds}, args.out)
+    _emit_json(
+        {"config": _resolved(cfg, observations=dataclasses.asdict(obs)), "bounds": bounds},
+        args.out,
+    )
     return EXIT_OK
 
 

@@ -24,9 +24,13 @@ representation of the 50/50 mode rotation (``mode_rotation_unitary``); the
 common filter is f_N times the identity.  ``_block_spectra`` therefore gives
 each operator as its eigenvalue vector, batched over tolerance-box points,
 and every pseudo-inverse and square root acts elementwise on those vectors.
-The one eigen-solve left per block is the spectral norm behind delta1: the
+The one eigen-solve left per block is the spectral norm behind delta1.  The
 two filtered X-error operators are diagonal in different bases, so their
-difference is not.
+difference is not; but both residual filters act alike on either of
+Alice's bits and ``outcome_error_X`` is diagonal in Alice's X basis, so the
+difference commutes with sigma_x (x) I.  It splits as
+|+><+| (x) M_+ + |-><-| (x) M_- (``_filtered_x_error_halves``), and one
+batched ``eigvalsh`` of the two (N+1)-dimensional halves gives its norm.
 """
 
 from __future__ import annotations
@@ -196,11 +200,6 @@ def mode_rotation_unitary(n: int) -> np.ndarray:
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-def _x_basis(n: int) -> np.ndarray:
-    """kron(H, R): the common eigenbasis of the X-basis operators of block N."""
-    return np.kron(_HADAMARD, mode_rotation_unitary(n))
-
-
 def _pinv(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise pseudo-inverse of a spectrum, and the mask of its kernel."""
     support = w > EIGEN_TOL
@@ -257,19 +256,36 @@ def _block_spectra(n: int, eta, dc) -> dict[str, np.ndarray]:
 
 
 def _dense(spectrum: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """basis @ diag(spectrum) @ basis.T, batched over the leading axes."""
-    return (basis * spectrum[..., None, :]) @ basis.T
+    """basis @ diag(spectrum) @ basis.T, batched over the leading axes as one
+    matrix product."""
+    m = basis.shape[0]
+    scaled = (basis * spectrum[..., None, :]).reshape(-1, m)
+    return (scaled @ basis.T).reshape(spectrum.shape[:-1] + (m, m))
 
 
-def _filtered_x_errors(spectra: dict[str, np.ndarray], basis: np.ndarray):
+def _filtered_x_error_halves(spectra: dict[str, np.ndarray], rot: np.ndarray):
     """outcome_error_X between the square roots of the Z and of the X
-    residual filters.  The X filter shares the X eigenbasis; the Z filter is
-    diagonal in the Fock basis, so its root rescales rows and columns."""
+    residual filters, as its two halves on Alice's X-basis bits (+, -).
+
+    Both residual filters repeat one (N+1)-spectrum on either of Alice's
+    bits (their conclusive filters are built from [perp, perp]), so the
+    sandwich keeps Alice's X basis: half a is S R diag(g_a) R^T S after the
+    Z filter, S = diag(sqrt(s)) in the Fock basis, and R diag(r g_a) R^T
+    after the X filter.  Each result has the batch shape plus (2, N+1, N+1).
+    """
+    m = rot.shape[0]
     g = spectra["outcome_error_X"]
-    root_z = np.sqrt(spectra["residual_filter_Z"])
-    after_z = root_z[..., :, None] * _dense(g, basis) * root_z[..., None, :]
-    after_x = _dense(spectra["residual_filter_X"] * g, basis)
+    g = g.reshape(g.shape[:-1] + (2, m))
+    root_s = np.sqrt(spectra["residual_filter_Z"][..., None, :m])
+    r = spectra["residual_filter_X"][..., None, :m]
+    after_z = root_s[..., :, None] * _dense(g, rot) * root_s[..., None, :]
+    after_x = _dense(r * g, rot)
     return after_z, after_x
+
+
+def _join_halves(halves: np.ndarray) -> np.ndarray:
+    """The dense operator |+><+| (x) halves[0] + |-><-| (x) halves[1]."""
+    return sum(np.kron(np.outer(h, h), half) for h, half in zip(_HADAMARD.T, halves))
 
 
 @dataclass(frozen=True)
@@ -299,14 +315,16 @@ def build_block_povm(
     defines delta1.  Each comes from its spectrum in its known eigenbasis.
     """
     spectra = _block_spectra(n, eta, dc)
-    basis = _x_basis(n)
+    rot = mode_rotation_unitary(n)
+    # kron(H, R): the common eigenbasis of the X-basis operators.
+    basis = np.kron(_HADAMARD, rot)
     ops = {
         name: _dense(w, basis) if name.endswith("_X") else np.diag(w)
         for name, w in spectra.items()
     }
-    ops["x_error_after_Z_filter"], ops["x_error_after_X_filter"] = _filtered_x_errors(
-        spectra, basis
-    )
+    after_z, after_x = _filtered_x_error_halves(spectra, rot)
+    ops["x_error_after_Z_filter"] = _join_halves(after_z)
+    ops["x_error_after_X_filter"] = _join_halves(after_x)
     return PovmBlock(n_photons=n, operators=ops)
 
 
@@ -324,13 +342,15 @@ def block_deltas(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
 
     ``eta``/``dc`` are as in ``_block_spectra``; both results have their
     batch shape.  delta2 = ||I - residual_filter_Z|| needs no solve, the
-    filter being diagonal; delta1 = 2 ||x_error_after_Z_filter -
-    x_error_after_X_filter|| is one batched ``eigvalsh``.
+    filter being diagonal.  delta1 = 2 ||x_error_after_Z_filter -
+    x_error_after_X_filter||: the difference splits along Alice's X-basis
+    bit into two (N+1)-dimensional halves, so delta1 is twice the largest
+    eigenvalue magnitude of either half, from one batched ``eigvalsh``.
     """
     spectra = _block_spectra(n, eta, dc)
-    after_z, after_x = _filtered_x_errors(spectra, _x_basis(n))
+    after_z, after_x = _filtered_x_error_halves(spectra, mode_rotation_unitary(n))
     w = _eigen(np.linalg.eigvalsh, after_z - after_x, n)
-    d1 = 2.0 * np.abs(w).max(axis=-1)
+    d1 = 2.0 * np.abs(w).max(axis=(-2, -1))
     d2 = np.abs(1.0 - spectra["residual_filter_Z"]).max(axis=-1)
     return d1, d2
 
@@ -374,7 +394,9 @@ def oracle_deltas(
         raise ValueError(f"seed must be >= 0, got {seed}")
     points = _box_points(spec, interior_samples, seed)
     eta = points[:, :4] / points[:, :4].max(axis=1, keepdims=True)
-    dc = points[:, 4:]
+    # Renormalizing merges corners, e.g. all-min and all-max efficiencies.
+    points = np.unique(np.hstack([eta, points[:, 4:]]), axis=0)
+    eta, dc = points[:, :4], points[:, 4:]
     best1 = best2 = 0.0
     for n in range(n_max + 1):
         d1, d2 = block_deltas(n, eta, dc)

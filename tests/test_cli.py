@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bb84mm import cli
 from bb84mm.channel_sim import ChannelSpec, expected_observations
-from bb84mm.decoy import DecoyConfig, OutcomeCounts, decoy_bounds
+from bb84mm.decoy import DecoyConfig
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas
 from bb84mm.keyrate import EpsilonBudget, key_length_decoy
 
@@ -104,6 +105,15 @@ class TestDelta:
         assert payload["oracle"]["d2"] <= payload["closed_form"]["d2"] + 1e-9
         assert "config" in payload
 
+    def test_failed_eigen_solve_is_a_numeric_failure(self, config_path, monkeypatch, capsys):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert run_cli("delta", "--config", config_path, "--nmax", "3") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "N=" in err
+
 
 class TestSimulateDecoyRoundTrip:
     def test_round_trip_matches_in_process(self, config_path, tmp_path):
@@ -188,40 +198,6 @@ class TestSimulateDecoyRoundTrip:
         assert a.read_bytes() != c.read_bytes()
 
 
-class TestDecoyBareCountsFormat:
-    def test_per_class_counts_accepted(self, config_path, tmp_path):
-        obs_path = tmp_path / "counts.json"
-        obs_path.write_text(
-            json.dumps({"x": [9e5, 1e6, 1e5], "x_err": [900.0, 1200.0, 50000.0], "k": [8e5, 9e5, 9e4]})
-        )
-        out = tmp_path / "bounds.json"
-        assert (
-            run_cli("decoy", "--config", config_path, "--observations", str(obs_path), "--out", str(out))
-            == 0
-        )
-        payload = json.loads(out.read_text())
-        assert payload["bounds"]["x"]["single_lower"] > 0
-
-
-    def test_bare_counts_read_without_rates(self, config_path, tmp_path):
-        # The third intensity has errors but no X counts: no error rate can
-        # carry them, so the counts are read as they are.
-        counts = {"x": [1e9, 1e8, 0.0], "x_err": [1e7, 1e6, 50.0], "k": [1e9, 1e8, 0.0]}
-        obs_path = tmp_path / "counts.json"
-        obs_path.write_text(json.dumps(counts))
-        out = tmp_path / "bounds.json"
-        assert run_cli(
-            "decoy", "--config", config_path, "--observations", str(obs_path), "--out", str(out)
-        ) == 0
-        payload = json.loads(out.read_text())
-        expected = decoy_bounds(
-            OutcomeCounts((1e7, 1e6, 50.0)), DecoyConfig.reference(), EpsilonBudget().eps_at_d**2
-        )
-        got = payload["bounds"]["x_err"]
-        assert (got["vacuum_lower"], got["single_lower"], got["single_upper"]) == expected
-        assert payload["config"]["observations"] == counts
-
-
 BARE_COUNTS = {"x": [9e5, 1e6, 1e5], "x_err": [900.0, 1200.0, 50000.0], "k": [8e5, 9e5, 9e4]}
 FULL_RECORD = {"n_x": [9e5, 1e6, 1e5], "n_k": [8e5, 9e5, 9e4], "e_x": [1e-3, 1e-3, 0.5], "e_z": 0.01}
 
@@ -236,6 +212,7 @@ def _with(section, **fields):
 BOUNDARY_CASES = {
     "keyrate-bare-counts": ("keyrate", BASE_CONFIG, BARE_COUNTS, "'x'"),
     "keyrate-bare-counts-e_z": ("keyrate", BASE_CONFIG, dict(BARE_COUNTS, e_z=0.01), "'x'"),
+    "decoy-bare-counts": ("decoy", BASE_CONFIG, BARE_COUNTS, "'x'"),
     "decoy-bare-counts-extra-key": ("decoy", BASE_CONFIG, dict(BARE_COUNTS, e_z=0.01), "'x'"),
     "keyrate-channel.loss_db": ("keyrate", _with("channel", loss_db=5.0), None, "loss_db"),
     "simulate-channel.loss_db": ("simulate", _with("channel", loss_db=5.0), None, "loss_db"),

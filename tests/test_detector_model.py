@@ -143,6 +143,20 @@ def _random_params(rng):
     return eta, dc
 
 
+def _psd_root(op):
+    w, v = np.linalg.eigh(op)
+    return (v * np.sqrt(np.clip(w, 0, None))) @ v.T
+
+
+def _filtered_x_errors_reference(ops):
+    """outcome_error_X between generic square roots of the Z and of the X
+    residual filters, from the dense operators alone."""
+    g = ops["outcome_error_X"]
+    root_z = _psd_root(ops["residual_filter_Z"])
+    root_x = _psd_root(ops["residual_filter_X"])
+    return root_z @ g @ root_z, root_x @ g @ root_x
+
+
 class TestBlockStructure:
     def test_vacuum_block_entries(self):
         dc = (1e-3, 2e-3, 1.5e-3, 2.5e-3)
@@ -206,8 +220,7 @@ class TestBlockStructure:
                 )
             )
             for b in ("Z", "X"):
-                w, v = np.linalg.eigh(blk.operators[f"residual_filter_{b}"])
-                res_root = (v * np.sqrt(np.clip(w, 0, None))) @ v.T
+                res_root = _psd_root(blk.operators[f"residual_filter_{b}"])
                 rebuilt = (
                     common_root
                     @ res_root
@@ -322,8 +335,8 @@ class TestOracleDeltas:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_block_deltas_match_dense_operators(self, seed):
-        # The batched spectra agree with the dense operators of
-        # build_block_povm, point by point.
+        # The batched split agrees with the filtered X-error operators
+        # rebuilt from the dense block, point by point.
         rng = np.random.default_rng(40 + seed)
         eta = rng.uniform(0.3, 1.0, (5, 4))
         dc = rng.choice([0.0, 1e-6, 1e-3, 0.05], (5, 4))
@@ -331,10 +344,36 @@ class TestOracleDeltas:
             d1, d2 = block_deltas(n, eta, dc)
             for p in range(len(eta)):
                 ops = build_block_povm(n, tuple(eta[p]), tuple(dc[p])).operators
-                diff = ops["x_error_after_Z_filter"] - ops["x_error_after_X_filter"]
+                after_z, after_x = _filtered_x_errors_reference(ops)
+                diff = after_z - after_x
                 assert d1[p] == pytest.approx(2 * np.abs(np.linalg.eigvalsh(diff)).max(), abs=1e-12)
                 rest = np.eye(2 * (n + 1)) - ops["residual_filter_Z"]
                 assert d2[p] == pytest.approx(np.abs(np.linalg.eigvalsh(rest)).max(), abs=1e-12)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(0, 8),
+        eta=st.tuples(*[st.floats(0.3, 1.0)] * 4),
+        dc=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-7, 0.05))] * 4),
+    )
+    def test_filtered_x_errors_split_along_alice_x_bit(self, n, eta, dc):
+        # Rebuilt without the split, the difference commutes with
+        # sigma_x (x) I, and both filtered operators match build_block_povm's.
+        ops = build_block_povm(n, eta, dc).operators
+        after_z, after_x = _filtered_x_errors_reference(ops)
+        diff = after_z - after_x
+        flip = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n + 1))
+        assert np.abs(flip @ diff - diff @ flip).max() <= 1e-12
+        assert np.abs(after_z - ops["x_error_after_Z_filter"]).max() <= 1e-12
+        assert np.abs(after_x - ops["x_error_after_X_filter"]).max() <= 1e-12
+
+    def test_failed_eigen_solve_names_its_block(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(RuntimeError, match="N=0"):
+            oracle_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01), n_max=2)
 
     def test_block_max_attained_at_corners(self):
         # Dense box sampling never beats the corner scan for N <= 3.
