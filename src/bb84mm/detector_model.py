@@ -31,6 +31,18 @@ Alice's bits and ``outcome_error_X`` is diagonal in Alice's X basis, so the
 difference commutes with sigma_x (x) I.  It splits as
 |+><+| (x) M_+ + |-><-| (x) M_- (``_filtered_x_error_halves``), and one
 batched ``eigvalsh`` of the two (N+1)-dimensional halves gives its norm.
+``block_deltas`` builds only the three spectra this reads; the silence and
+outcome formulas (``_silences``, ``_errors``) are shared with
+``_block_spectra``.
+
+Both deltas are invariant under two relabellings, so ``oracle_deltas``
+solves one box row per orbit.  Swapping Z0 with Z1 (efficiency and dark
+count together) and Alice's Z bit maps the residual Z filter S to P S P,
+with P the reversal of the Fock index; since P R = R D with D diagonal of
++-1, each half maps as M_a -> P M_a P.  Swapping X0 with X1 and Alice's X
+bit maps M_a -> Q M_(1-a) Q with Q diagonal of +-1.  The common filter
+reads only the maxima over all four detectors, so neither swap moves it,
+and every norm is unchanged.
 """
 
 from __future__ import annotations
@@ -206,6 +218,53 @@ def _pinv(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(1.0, w, out=np.zeros_like(w), where=support), ~support
 
 
+def _checked(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
+    """``eta``/``dc`` as float arrays, once N and every entry are in range."""
+    if n > MAX_BLOCK_PHOTONS:
+        raise ValueError(f"photon block N={n} exceeds the cutoff {MAX_BLOCK_PHOTONS}")
+    eta = np.asarray(eta, dtype=float)
+    dc = np.asarray(dc, dtype=float)
+    # NaN fails both comparisons, so it is rejected too.
+    if not (np.all((eta >= 0.0) & (eta <= 1.0)) and np.all((dc >= 0.0) & (dc <= 1.0))):
+        raise ValueError("efficiencies and dark-count rates must lie in [0, 1]")
+    return eta, dc
+
+
+def _common_filter(n: int, eta: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """f_N = 1 - (1-d_max)^2 (1-eta_max)^N, the common filter's one
+    eigenvalue, with the batch shape."""
+    return 1.0 - (1.0 - dc.max(axis=-1)) ** 2 * (1.0 - eta.max(axis=-1)) ** n
+
+
+def _silences(n: int, eta: np.ndarray, dc: np.ndarray, k: int):
+    """No-click probabilities of one basis's outcome-0 and outcome-1
+    detectors (k and k + 1 in the (Z0, Z1, X0, X1) order), each with the
+    batch shape plus (N+1,) over Bob's photons in mode 1 of the basis's
+    eigenbasis.  Their product is the inconclusive spectrum."""
+    photons1 = np.arange(n + 1)
+    silent0 = (1.0 - dc[..., k, None]) * (1.0 - eta[..., k, None]) ** (n - photons1)
+    silent1 = (1.0 - dc[..., k + 1, None]) * (1.0 - eta[..., k + 1, None]) ** photons1
+    return silent0, silent1
+
+
+def _errors(silent0: np.ndarray, silent1: np.ndarray) -> np.ndarray:
+    """The error spectrum of one basis over (Alice's bit, Bob's photons in
+    mode 1), with the batch shape plus (2, N+1).  A double click is assigned
+    by a fair coin, and an error is Alice's bit 0 with Bob's outcome 1, or
+    bit 1 with 0, so flipping Alice's bit gives the match spectrum."""
+    double = (1.0 - silent0) * (1.0 - silent1)
+    out0 = (1.0 - silent0) * silent1 + 0.5 * double
+    out1 = silent0 * (1.0 - silent1) + 0.5 * double
+    return np.stack([out1, out0], axis=-2)
+
+
+def _residual_filter(conclusive: np.ndarray, f_n: np.ndarray) -> np.ndarray:
+    """A conclusive spectrum between the pinv square roots of the common
+    filter, completed on its kernel."""
+    inv, kernel = _pinv(f_n[..., None])
+    return conclusive * inv + kernel
+
+
 def _block_spectra(n: int, eta, dc) -> dict[str, np.ndarray]:
     """Eigenvalues of every operator of the N-photon block.
 
@@ -215,32 +274,18 @@ def _block_spectra(n: int, eta, dc) -> dict[str, np.ndarray]:
     photons in mode 1 (inner) of the operator's eigenbasis: the Fock basis
     for ``*_Z`` and ``common_filter``, kron(H, R) for ``*_X``.
     """
-    if n > MAX_BLOCK_PHOTONS:
-        raise ValueError(f"photon block N={n} exceeds the cutoff {MAX_BLOCK_PHOTONS}")
-    eta = np.asarray(eta, dtype=float)
-    dc = np.asarray(dc, dtype=float)
-    # NaN fails both comparisons, so it is rejected too.
-    if not (np.all((eta >= 0.0) & (eta <= 1.0)) and np.all((dc >= 0.0) & (dc <= 1.0))):
-        raise ValueError("efficiencies and dark-count rates must lie in [0, 1]")
-
-    f_n = 1.0 - (1.0 - dc.max(axis=-1)) ** 2 * (1.0 - eta.max(axis=-1)) ** n
+    eta, dc = _checked(n, eta, dc)
+    f_n = _common_filter(n, eta, dc)
     common = np.repeat(f_n[..., None], 2 * (n + 1), axis=-1)
-    common_inv, common_kernel = _pinv(common)
     spectra = {"common_filter": common}
-
-    photons1 = np.arange(n + 1)
     for basis, k in (("Z", 0), ("X", 2)):
-        silent0 = (1.0 - dc[..., k, None]) * (1.0 - eta[..., k, None]) ** (n - photons1)
-        silent1 = (1.0 - dc[..., k + 1, None]) * (1.0 - eta[..., k + 1, None]) ** photons1
-        double = (1.0 - silent0) * (1.0 - silent1)
-        out0 = (1.0 - silent0) * silent1 + 0.5 * double
-        out1 = silent0 * (1.0 - silent1) + 0.5 * double
+        silent0, silent1 = _silences(n, eta, dc, k)
         perp = silent0 * silent1
         inconclusive = np.concatenate([perp, perp], axis=-1)
-        # An error is Alice's bit 0 with Bob's outcome 1, or bit 1 with 0.
-        error = np.concatenate([out1, out0], axis=-1)
-        match = np.concatenate([out0, out1], axis=-1)
         conclusive = 1.0 - inconclusive
+        errors = _errors(silent0, silent1)
+        error = errors.reshape(common.shape)
+        match = errors[..., ::-1, :].reshape(common.shape)
         inv, kernel = _pinv(conclusive)
         spectra[f"inconclusive_{basis}"] = inconclusive
         spectra[f"error_{basis}"] = error
@@ -250,8 +295,7 @@ def _block_spectra(n: int, eta, dc) -> dict[str, np.ndarray]:
         # completed on its kernel.
         spectra[f"outcome_error_{basis}"] = error * inv
         spectra[f"outcome_match_{basis}"] = match * inv + kernel
-        # Residual filter: the common filter's pinv-sqrt sandwich, completed.
-        spectra[f"residual_filter_{basis}"] = conclusive * common_inv + common_kernel
+        spectra[f"residual_filter_{basis}"] = _residual_filter(conclusive, f_n)
     return spectra
 
 
@@ -263,23 +307,21 @@ def _dense(spectrum: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (scaled @ basis.T).reshape(spectrum.shape[:-1] + (m, m))
 
 
-def _filtered_x_error_halves(spectra: dict[str, np.ndarray], rot: np.ndarray):
+def _filtered_x_error_halves(g: np.ndarray, s: np.ndarray, r: np.ndarray, rot: np.ndarray):
     """outcome_error_X between the square roots of the Z and of the X
     residual filters, as its two halves on Alice's X-basis bits (+, -).
 
-    Both residual filters repeat one (N+1)-spectrum on either of Alice's
-    bits (their conclusive filters are built from [perp, perp]), so the
-    sandwich keeps Alice's X basis: half a is S R diag(g_a) R^T S after the
-    Z filter, S = diag(sqrt(s)) in the Fock basis, and R diag(r g_a) R^T
-    after the X filter.  Each result has the batch shape plus (2, N+1, N+1).
+    ``g`` is outcome_error_X with the batch shape plus (2, N+1); ``s`` and
+    ``r`` are the Z and X residual filters with the batch shape plus
+    (N+1,), the one spectrum each repeats on either of Alice's bits (their
+    conclusive filters are built from [perp, perp]).  So the sandwich keeps
+    Alice's X basis: half a is S R diag(g_a) R^T S after the Z filter,
+    S = diag(sqrt(s)) in the Fock basis, and R diag(r g_a) R^T after the X
+    filter.  Each result has the batch shape plus (2, N+1, N+1).
     """
-    m = rot.shape[0]
-    g = spectra["outcome_error_X"]
-    g = g.reshape(g.shape[:-1] + (2, m))
-    root_s = np.sqrt(spectra["residual_filter_Z"][..., None, :m])
-    r = spectra["residual_filter_X"][..., None, :m]
+    root_s = np.sqrt(s[..., None, :])
     after_z = root_s[..., :, None] * _dense(g, rot) * root_s[..., None, :]
-    after_x = _dense(r * g, rot)
+    after_x = _dense(r[..., None, :] * g, rot)
     return after_z, after_x
 
 
@@ -322,7 +364,13 @@ def build_block_povm(
         name: _dense(w, basis) if name.endswith("_X") else np.diag(w)
         for name, w in spectra.items()
     }
-    after_z, after_x = _filtered_x_error_halves(spectra, rot)
+    m = n + 1
+    after_z, after_x = _filtered_x_error_halves(
+        spectra["outcome_error_X"].reshape(2, m),
+        spectra["residual_filter_Z"][:m],
+        spectra["residual_filter_X"][:m],
+        rot,
+    )
     ops["x_error_after_Z_filter"] = _join_halves(after_z)
     ops["x_error_after_X_filter"] = _join_halves(after_x)
     return PovmBlock(n_photons=n, operators=ops)
@@ -341,17 +389,27 @@ def block_deltas(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
     """Per-block (delta1, delta2) contributions at a batch of parameter points.
 
     ``eta``/``dc`` are as in ``_block_spectra``; both results have their
-    batch shape.  delta2 = ||I - residual_filter_Z|| needs no solve, the
-    filter being diagonal.  delta1 = 2 ||x_error_after_Z_filter -
+    batch shape.  Only the three spectra the deltas read are built:
+    outcome_error_X and the two residual filters, each on one of Alice's
+    bits.  delta2 = ||I - residual_filter_Z|| needs no solve, the filter
+    being diagonal.  delta1 = 2 ||x_error_after_Z_filter -
     x_error_after_X_filter||: the difference splits along Alice's X-basis
     bit into two (N+1)-dimensional halves, so delta1 is twice the largest
     eigenvalue magnitude of either half, from one batched ``eigvalsh``.
     """
-    spectra = _block_spectra(n, eta, dc)
-    after_z, after_x = _filtered_x_error_halves(spectra, mode_rotation_unitary(n))
+    eta, dc = _checked(n, eta, dc)
+    f_n = _common_filter(n, eta, dc)
+    z0, z1 = _silences(n, eta, dc, 0)
+    x0, x1 = _silences(n, eta, dc, 2)
+    residual_z = _residual_filter(1.0 - z0 * z1, f_n)
+    conclusive_x = 1.0 - x0 * x1
+    g = _errors(x0, x1) * _pinv(conclusive_x)[0][..., None, :]
+    after_z, after_x = _filtered_x_error_halves(
+        g, residual_z, _residual_filter(conclusive_x, f_n), mode_rotation_unitary(n)
+    )
     w = _eigen(np.linalg.eigvalsh, after_z - after_x, n)
     d1 = 2.0 * np.abs(w).max(axis=(-2, -1))
-    d2 = np.abs(1.0 - spectra["residual_filter_Z"]).max(axis=-1)
+    d2 = np.abs(1.0 - residual_z).max(axis=-1)
     return d1, d2
 
 
@@ -375,6 +433,22 @@ def _box_points(spec: DetectorSpec, interior_samples: int, seed: int) -> np.ndar
     return np.vstack([corners, lo + (hi - lo) * u])
 
 
+def _orbit_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One (eta, dc) row per detector-swap orbit of the box points, with the
+    efficiencies renormalized by their maximum.
+
+    Swapping the two detectors of a basis, efficiency and dark count
+    together, leaves both per-block deltas unchanged (see the module
+    docstring), so each pair is put in (eta, dc) order and duplicate rows
+    are dropped.  numpy sorts complex numbers by real part, then imaginary
+    part.
+    """
+    eta = points[:, :4] / points[:, :4].max(axis=1, keepdims=True)
+    pairs = np.sort((eta + 1j * points[:, 4:]).reshape(-1, 2, 2), axis=-1).reshape(-1, 4)
+    rows = np.unique(np.hstack([pairs.real, pairs.imag]), axis=0)
+    return rows[:, :4], rows[:, 4:]
+
+
 def oracle_deltas(
     spec: DetectorSpec,
     n_max: int = 10,
@@ -387,16 +461,21 @@ def oracle_deltas(
     Efficiencies are renormalized by their maximum at each evaluation point
     (common loss belongs to the channel), matching the convention of the
     closed form.  The result never exceeds ``closed_form_deltas``.
+
+    The box is symmetric under swapping Z0 with Z1 and X0 with X1, and
+    either swap leaves both per-block deltas unchanged, so the maximum over
+    one row per orbit (``_orbit_rows``) is the maximum over the box.  At
+    the defaults the 272 box rows (256 corners and 16 interior samples)
+    leave 107 rows to solve, 91 of them corners; renormalizing alone would
+    leave 256.  A call at the ``delta`` defaults takes about 14 ms (median
+    of the benchmark's ``mismatch_oracle`` ops, 2-core x86-64, one BLAS
+    thread), against about 31 ms when every renormalized row is solved.
     """
     if not 1 <= n_max <= MAX_BLOCK_PHOTONS:
         raise ValueError(f"n_max must lie in [1, {MAX_BLOCK_PHOTONS}], got {n_max}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    points = _box_points(spec, interior_samples, seed)
-    eta = points[:, :4] / points[:, :4].max(axis=1, keepdims=True)
-    # Renormalizing merges corners, e.g. all-min and all-max efficiencies.
-    points = np.unique(np.hstack([eta, points[:, 4:]]), axis=0)
-    eta, dc = points[:, :4], points[:, 4:]
+    eta, dc = _orbit_rows(_box_points(spec, interior_samples, seed))
     best1 = best2 = 0.0
     for n in range(n_max + 1):
         d1, d2 = block_deltas(n, eta, dc)

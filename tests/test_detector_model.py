@@ -17,11 +17,16 @@ from bb84mm.detector_model import (
     build_block_povms,
     closed_form_deltas,
     _box_points,
+    _orbit_rows,
     mode_rotation_unitary,
     oracle_deltas,
 )
 
 REFERENCE = DetectorSpec(eta_det=0.7, d_det=1e-6)
+
+# Detector orders (Z0, Z1, X0, X1) reached by swapping the Z pair, the X
+# pair, or both.
+SWAPS = [[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]]
 
 
 def rotated_state_oracle(n, k):
@@ -367,6 +372,52 @@ class TestOracleDeltas:
         assert np.abs(after_z - ops["x_error_after_Z_filter"]).max() <= 1e-12
         assert np.abs(after_x - ops["x_error_after_X_filter"]).max() <= 1e-12
 
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(0, 12),
+        eta=st.tuples(*[st.floats(0.5, 1.0)] * 4),
+        dc=st.tuples(*[st.floats(0.0, 0.05)] * 4),
+    )
+    def test_block_deltas_invariant_under_detector_swaps(self, n, eta, dc):
+        # Swapping the two detectors of a basis, efficiency and dark count
+        # together, is undone by relabelling Alice's bit in that basis, so
+        # both per-block deltas are unchanged; oracle_deltas relies on this.
+        # The eigen-solve's rounding grows with delta1: below half efficiency
+        # ratios, where delta1 nears its cap of 4, the spread reaches 3e-15.
+        eta = np.array(eta) / max(eta)
+        d1, d2 = block_deltas(n, eta[SWAPS], np.array(dc)[SWAPS])
+        assert np.ptp(d1) <= 1e-15
+        assert np.ptp(d2) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            (DetectorSpec(0.7, 1e-6, 0.01, 0.01), 0),
+            (DetectorSpec(0.7, 1e-6, 0.01, 0.0), 1),
+            (DetectorSpec(0.7, 1e-6, 0.0, 0.01), 2),
+            (DetectorSpec(0.7, 0.0, 0.01, 0.01), 3),
+            (DetectorSpec(0.7, 1e-3, 0.05, 0.02), 4),
+        ],
+        ids=["delta_defaults", "flat_dark_counts", "flat_efficiencies", "zero_dark_floor",
+             "wide_box"],
+    )
+    def test_orbit_rows_match_full_box(self, spec, seed):
+        # The reduced rows hold exactly one row of each detector-swap orbit
+        # of the renormalized box rows, and give the maximum over all of them.
+        points = _box_points(spec, interior_samples=16, seed=seed)
+        eta = points[:, :4] / points[:, :4].max(axis=1, keepdims=True)
+
+        def orbits(eta, dc):
+            return {frozenset(tuple(e[s]) + tuple(d[s]) for s in SWAPS) for e, d in zip(eta, dc)}
+
+        reduced = _orbit_rows(points)
+        assert orbits(*reduced) == orbits(eta, points[:, 4:])
+        assert len(reduced[0]) == len(orbits(*reduced))
+        full = [block_deltas(n, eta, points[:, 4:]) for n in range(11)]
+        d = oracle_deltas(spec, seed=seed)
+        assert abs(d.delta1 - max(d1.max() for d1, _ in full)) <= 1e-15
+        assert abs(d.delta2 - max(d2.max() for _, d2 in full)) <= 1e-15
+
     def test_failed_eigen_solve_names_its_block(self, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -400,10 +451,12 @@ class TestOracleDeltas:
             assert all(a > b or a == b == 0.0 for a, b in zip(d[1:], d[2:]))
             assert d[8] < 1e-10
             assert max(d[10:]) < 1e-15
-        o4 = oracle_deltas(spec, n_max=4, interior_samples=0)
+        # Over every corner of the box, too: blocks beyond N = 9 add nothing.
         o10 = oracle_deltas(spec, n_max=10, interior_samples=0)
-        assert o10.delta1 == pytest.approx(o4.delta1, abs=1e-12)
-        assert o10.delta2 == pytest.approx(o4.delta2, abs=1e-12)
+        for n_max in (4, MAX_BLOCK_PHOTONS):
+            o = oracle_deltas(spec, n_max=n_max, interior_samples=0)
+            assert o.delta1 == pytest.approx(o10.delta1, abs=1e-12)
+            assert o.delta2 == pytest.approx(o10.delta2, abs=1e-12)
 
     def test_per_block_delta1_analytic_dominance(self):
         # Each block's numeric delta1 stays below the analytic per-block
