@@ -28,12 +28,12 @@ The one eigen-solve left per block is the spectral norm behind delta1.  The
 two filtered X-error operators are diagonal in different bases, so their
 difference is not; but both residual filters act alike on either of
 Alice's bits and ``outcome_error_X`` is diagonal in Alice's X basis, so the
-difference commutes with sigma_x (x) I.  It splits as
-|+><+| (x) M_+ + |-><-| (x) M_- (``_filtered_x_error_halves``), and one
-batched ``eigvalsh`` of the two (N+1)-dimensional halves gives its norm.
-``block_deltas`` builds only the three spectra this reads; the silence and
-outcome formulas (``_silences``, ``_errors``) are shared with
-``_block_spectra``.
+difference commutes with sigma_x (x) I.  ``block_deltas`` splits it as
+|+><+| (x) M_+ + |-><-| (x) M_- and takes its norm from one batched
+``eigvalsh`` of the two (N+1)-dimensional halves, building only the three
+spectra they read (``_silences`` and ``_errors`` are shared with
+``_block_spectra``); ``build_block_povm`` forms both operators by their
+definition, the reference the split is tested against.
 
 Both deltas are invariant under two relabellings, so ``oracle_deltas``
 solves one box row per orbit.  Swapping Z0 with Z1 (efficiency and dark
@@ -307,29 +307,6 @@ def _dense(spectrum: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (scaled @ basis.T).reshape(spectrum.shape[:-1] + (m, m))
 
 
-def _filtered_x_error_halves(g: np.ndarray, s: np.ndarray, r: np.ndarray, rot: np.ndarray):
-    """outcome_error_X between the square roots of the Z and of the X
-    residual filters, as its two halves on Alice's X-basis bits (+, -).
-
-    ``g`` is outcome_error_X with the batch shape plus (2, N+1); ``s`` and
-    ``r`` are the Z and X residual filters with the batch shape plus
-    (N+1,), the one spectrum each repeats on either of Alice's bits (their
-    conclusive filters are built from [perp, perp]).  So the sandwich keeps
-    Alice's X basis: half a is S R diag(g_a) R^T S after the Z filter,
-    S = diag(sqrt(s)) in the Fock basis, and R diag(r g_a) R^T after the X
-    filter.  Each result has the batch shape plus (2, N+1, N+1).
-    """
-    root_s = np.sqrt(s[..., None, :])
-    after_z = root_s[..., :, None] * _dense(g, rot) * root_s[..., None, :]
-    after_x = _dense(r[..., None, :] * g, rot)
-    return after_z, after_x
-
-
-def _join_halves(halves: np.ndarray) -> np.ndarray:
-    """The dense operator |+><+| (x) halves[0] + |-><-| (x) halves[1]."""
-    return sum(np.kron(np.outer(h, h), half) for h, half in zip(_HADAMARD.T, halves))
-
-
 @dataclass(frozen=True)
 class PovmBlock:
     """All labeled operators of one total-photon-number block.
@@ -354,7 +331,9 @@ def build_block_povm(
     common filter (f_N I with f_N = 1-(1-d_max)^2 (1-eta_max)^N), the
     residual basis-dependent filters, the completed third-step outcome
     operators, and the two filtered X-error operators whose distance
-    defines delta1.  Each comes from its spectrum in its known eigenbasis.
+    defines delta1.  Each comes from its spectrum in its known eigenbasis,
+    but the X error after the Z filter is the dense outcome_error_X between
+    the filter's square roots.
     """
     spectra = _block_spectra(n, eta, dc)
     rot = mode_rotation_unitary(n)
@@ -364,15 +343,11 @@ def build_block_povm(
         name: _dense(w, basis) if name.endswith("_X") else np.diag(w)
         for name, w in spectra.items()
     }
-    m = n + 1
-    after_z, after_x = _filtered_x_error_halves(
-        spectra["outcome_error_X"].reshape(2, m),
-        spectra["residual_filter_Z"][:m],
-        spectra["residual_filter_X"][:m],
-        rot,
+    root_z = np.sqrt(spectra["residual_filter_Z"])
+    ops["x_error_after_Z_filter"] = root_z[:, None] * ops["outcome_error_X"] * root_z
+    ops["x_error_after_X_filter"] = _dense(
+        spectra["residual_filter_X"] * spectra["outcome_error_X"], basis
     )
-    ops["x_error_after_Z_filter"] = _join_halves(after_z)
-    ops["x_error_after_X_filter"] = _join_halves(after_x)
     return PovmBlock(n_photons=n, operators=ops)
 
 
@@ -390,11 +365,12 @@ def block_deltas(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
 
     ``eta``/``dc`` are as in ``_block_spectra``; both results have their
     batch shape.  Only the three spectra the deltas read are built:
-    outcome_error_X and the two residual filters, each on one of Alice's
-    bits.  delta2 = ||I - residual_filter_Z|| needs no solve, the filter
-    being diagonal.  delta1 = 2 ||x_error_after_Z_filter -
-    x_error_after_X_filter||: the difference splits along Alice's X-basis
-    bit into two (N+1)-dimensional halves, so delta1 is twice the largest
+    outcome_error_X g_a on Alice's X-basis bit a, and the Z and X residual
+    filters s and r on one of her bits (each repeats on the other).
+    delta2 = ||I - residual_filter_Z|| needs no solve, the filter being
+    diagonal.  delta1 = 2 ||x_error_after_Z_filter - x_error_after_X_filter||
+    splits along a into two (N+1)-dimensional halves S R diag(g_a) R^T S -
+    R diag(r g_a) R^T, S = diag(sqrt(s)), so it is twice the largest
     eigenvalue magnitude of either half, from one batched ``eigvalsh``.
     """
     eta, dc = _checked(n, eta, dc)
@@ -404,9 +380,10 @@ def block_deltas(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
     residual_z = _residual_filter(1.0 - z0 * z1, f_n)
     conclusive_x = 1.0 - x0 * x1
     g = _errors(x0, x1) * _pinv(conclusive_x)[0][..., None, :]
-    after_z, after_x = _filtered_x_error_halves(
-        g, residual_z, _residual_filter(conclusive_x, f_n), mode_rotation_unitary(n)
-    )
+    rot = mode_rotation_unitary(n)
+    root_z = np.sqrt(residual_z[..., None, :])
+    after_z = root_z[..., :, None] * _dense(g, rot) * root_z[..., None, :]
+    after_x = _dense(_residual_filter(conclusive_x, f_n)[..., None, :] * g, rot)
     w = _eigen(np.linalg.eigvalsh, after_z - after_x, n)
     d1 = 2.0 * np.abs(w).max(axis=(-2, -1))
     d2 = np.abs(1.0 - residual_z).max(axis=-1)
@@ -469,7 +446,7 @@ def oracle_deltas(
     leave 107 rows to solve, 91 of them corners; renormalizing alone would
     leave 256.  A call at the ``delta`` defaults takes about 14 ms (median
     of the benchmark's ``mismatch_oracle`` ops, 2-core x86-64, one BLAS
-    thread), against about 31 ms when every renormalized row is solved.
+    thread).
     """
     if not 1 <= n_max <= MAX_BLOCK_PHOTONS:
         raise ValueError(f"n_max must lie in [1, {MAX_BLOCK_PHOTONS}], got {n_max}")

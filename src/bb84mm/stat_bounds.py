@@ -77,28 +77,20 @@ def binomial_tail(q: TailQuery) -> float:
 
     Returns a probability in [0, 1].
     """
-    return _tail(q.n, q.delta, q.c)
-
-
-def _tail(n: int, delta: float, c: float) -> float:
-    if delta == 0.0:
-        # All mass at zero successes; any positive threshold empties the tail.
-        return 1.0 if _tail_threshold(n, c) <= 0 else 0.0
-    k = _tail_threshold(n, delta + c)
-    return _tail_at_count(n, delta, k)
+    return _tail_at_count(q.n, q.delta, _tail_threshold(q.n, q.delta + q.c))
 
 
 def _tail_at_count(n: int, delta: float, k: int) -> float:
-    """P[Binomial(n, delta) >= k]."""
+    """P[Binomial(n, delta) >= k].
+
+    Outside 1 <= k <= n the tail is full or empty.  Inside, the survival
+    function identity P[X >= k] = I_delta(k, n - k + 1) holds, and
+    ``betainc`` returns exactly 0 at delta = 0 and exactly 1 at delta = 1.
+    """
     if k <= 0:
         return 1.0
     if k > n:
         return 0.0
-    if delta == 0.0:
-        return 0.0
-    if delta == 1.0:
-        return 1.0
-    # Survival function identity: P[X >= k] = I_delta(k, n - k + 1).
     return float(betainc(k, n - k + 1, delta))
 
 

@@ -362,8 +362,9 @@ class TestOracleDeltas:
         dc=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-7, 0.05))] * 4),
     )
     def test_filtered_x_errors_split_along_alice_x_bit(self, n, eta, dc):
-        # Rebuilt without the split, the difference commutes with
-        # sigma_x (x) I, and both filtered operators match build_block_povm's.
+        # From generic PSD roots of the dense filters, the difference commutes
+        # with sigma_x (x) I, which licenses block_deltas' split, and both
+        # operators match build_block_povm's, formed by their definition.
         ops = build_block_povm(n, eta, dc).operators
         after_z, after_x = _filtered_x_errors_reference(ops)
         diff = after_z - after_x

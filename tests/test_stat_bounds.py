@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bb84mm.stat_bounds import (
     TailQuery,
+    _tail_at_count,
     binomial_tail,
     f_serf,
     gamma_bin,
@@ -65,6 +66,11 @@ class TestBinomialTail:
     def test_zero_success_probability(self):
         for n in (1, 7, 10**6):
             assert binomial_tail(TailQuery(n=n, delta=0.0, c=0.1)) == 0.0
+        # betainc is exact at the endpoints: an empty or a full tail.
+        for n in (1, 7, 10**6, 10**12):
+            for k in {1, max(n // 2, 1), n}:
+                assert _tail_at_count(n, 0.0, k) == 0.0
+                assert _tail_at_count(n, 1.0, k) == 1.0
 
     def test_empty_tail_when_threshold_exceeds_n(self):
         assert binomial_tail(TailQuery(n=100, delta=0.5, c=0.6)) == 0.0
@@ -108,8 +114,6 @@ class TestBinomialTail:
         # c-parametrized queries the growth holds between the integer jumps
         # of the threshold (the literal all-delta statement fails exactly at
         # those jumps, where the tail start moves up by one).
-        from bb84mm.stat_bounds import _tail_at_count
-
         for n in (3, 17, 200):
             for k in (1, n // 2, n):
                 vals = [_tail_at_count(n, float(d), k) for d in np.linspace(0.0, 1.0, 41)]
