@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bb84mm.channel_sim import ChannelSpec, expected_observations
+from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
 from bb84mm.detector_model import DeltaPair
+from bb84mm.keyrate import EpsilonBudget, key_length_decoy
 from bb84mm.phase_error import PhaseErrorQuery, bound_mismatch, bound_perfect
 from bb84mm.stat_bounds import gamma_bin, gamma_serf
 
@@ -116,3 +119,39 @@ class TestBoundMismatch:
         assert value(e=min(1.0, e_obs + bump)) >= base
         assert value(a=d1 + bump) >= base
         assert value(b=min(1.0, d2 + bump)) >= base
+
+
+class TestBoundDecoyComposed:
+    """The phase bound composed from decoy-state one-photon bounds, as
+    reported by ``key_length_decoy``."""
+
+    CFG = DecoyConfig.reference()
+    BUDGET = EpsilonBudget.equal(1e-12)
+
+    def _obs(self, loss_db=10.0, n_total=10**12):
+        return expected_observations(
+            ChannelSpec.reference(loss_db=loss_db, n_total=n_total), self.CFG
+        )
+
+    def test_zero_observations_infeasible(self):
+        obs = Observations(n_x=(0, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=0.0)
+        out = key_length_decoy(obs, self.CFG, DeltaPair.zero(), self.BUDGET)
+        assert not out.feasible
+        assert out.phase_bound == 1.0
+
+    def test_reference_run_feasible_golden(self):
+        obs = self._obs()
+        out = key_length_decoy(obs, self.CFG, DeltaPair.zero(), self.BUDGET)
+        eps_d_sq = self.BUDGET.eps_at_d**2
+        single_key_lower = decoy_bounds(obs.counts_k(), self.CFG, eps_d_sq)[1]
+        single_error_rate_upper = (
+            decoy_bounds(obs.counts_x_err(), self.CFG, eps_d_sq)[2]
+            / decoy_bounds(obs.counts_x(), self.CFG, eps_d_sq)[1]
+        )
+        assert out.feasible
+        assert 0.0 < single_error_rate_upper < 0.5
+        assert single_key_lower > 0.0
+        # Frozen from the first verified run of this pipeline.
+        assert out.phase_bound == pytest.approx(1.7106485068e-3, rel=1e-6)
+        assert single_key_lower == pytest.approx(2.3757988566e9, rel=1e-6)
+        assert single_error_rate_upper == pytest.approx(1.4976771795e-3, rel=1e-6)
