@@ -7,9 +7,12 @@ is detected in the correct or the rotated-off mode with probability
 
     f_ok = eta_ch cos^2(theta) eta_det,   f_bad = eta_ch sin^2(theta) eta_det.
 
-One formula, ``_outcome_rates``, turns the probabilities that the modes
-stay silent into the (conclusive, error) probabilities of a matched-basis
-round; only the law of silence differs between its two uses:
+Both photon laws share one outcome model.  ``_outcome_rates`` turns the
+probabilities that the modes stay silent into the (conclusive, error)
+probabilities of a matched-basis round, ``_class_rates`` splits them into
+the five recorded outcome classes of one round, and ``_record`` reads the
+observation record from per-intensity class counts.  Only the law of
+silence differs between the two uses:
 
     exactly m source photons:   (1 - f)^m
     Poisson intensity mu:       exp(-mu f)
@@ -141,50 +144,48 @@ def _detection_probs(ch: ChannelSpec) -> tuple[float, float]:
     )
 
 
-def expected_observations(ch: ChannelSpec, cfg: DecoyConfig) -> Observations:
-    """Exact expected observation record (real-valued counts).
+def _class_rates(ch: ChannelSpec, silent_ok, silent_bad, silent_both) -> tuple:
+    """Probabilities of the five recorded outcome classes of one round,
+    elementwise in the silences of ``_outcome_rates``: X error, X correct,
+    key, key-basis test error and key-basis test correct.  Both bases share
+    the click statistics: the honest detectors are identical."""
+    con, err = _outcome_rates(silent_ok, silent_bad, silent_both, ch.detector.d_det)
+    px, pz, pt = ch.p_x_alice * ch.p_x_bob, ch.p_z_alice * ch.p_z_bob, ch.p_z_test
+    return px * err, px * (con - err), pz * con * (1.0 - pt), pz * err * pt, pz * (con - err) * pt
 
-    Per-intensity X counts and error rates; key counts exclude the sampled
-    test fraction; the key-basis error estimate pools all intensities.
-    Both bases share the click statistics: the honest detectors are
-    identical.
-    """
+
+def _record(x_err, x_ok, key, t_err, t_ok) -> Observations:
+    """The observation record, as plain floats, from per-intensity counts
+    of the five classes of ``_class_rates``: per-intensity X counts and
+    error rates, key counts without the test fraction, and the key-basis
+    error rate pooled over intensities.  A rate with no counts is 0."""
+    n_x = [float(e + o) for e, o in zip(x_err, x_ok)]
+    z_err, z_test = float(sum(t_err)), float(sum(t_err) + sum(t_ok))
+    return Observations(
+        n_x=tuple(n_x),
+        n_k=tuple(map(float, key)),
+        e_x=tuple(float(e) / n if n > 0 else 0.0 for e, n in zip(x_err, n_x)),
+        e_z=z_err / z_test if z_test > 0 else 0.0,
+    )
+
+
+def expected_observations(ch: ChannelSpec, cfg: DecoyConfig) -> Observations:
+    """Exact expected observation record (real-valued counts)."""
     f_ok, f_bad = _detection_probs(ch)
-    n_x, n_k, e_x = [], [], []
-    z_err_w = z_con_w = 0.0
+    counts = []
     for mu, p_mu in zip(cfg.intensities, cfg.probabilities):
         silent = (math.exp(-mu * f_ok), math.exp(-mu * f_bad), math.exp(-mu * (f_ok + f_bad)))
-        con, err = map(float, _outcome_rates(*silent, ch.detector.d_det))
-        n_x.append(ch.n_total * p_mu * ch.p_x_alice * ch.p_x_bob * con)
-        e_x.append(err / con if con > 0 else 0.0)
-        n_k.append(ch.n_total * p_mu * ch.p_z_alice * ch.p_z_bob * con * (1.0 - ch.p_z_test))
-        z_err_w += p_mu * err
-        z_con_w += p_mu * con
-    e_z = z_err_w / z_con_w if z_con_w > 0 else 0.0
-    return Observations(n_x=tuple(n_x), n_k=tuple(n_k), e_x=tuple(e_x), e_z=e_z)
+        counts.append([ch.n_total * p_mu * r for r in _class_rates(ch, *silent)])
+    return _record(*zip(*counts))
 
 
 def _class_table(ch: ChannelSpec) -> np.ndarray:
-    """Outcome-class probabilities of one round given m source photons,
-    shape (PHOTON_CUTOFF + 1, 6); the classes are X error, X correct, key,
-    key-basis test error, key-basis test correct, and none of these."""
+    """Outcome-class probabilities of one round given m source photons, shape
+    (PHOTON_CUTOFF + 1, 6): the classes of ``_class_rates`` and none of these."""
     f_ok, f_bad = _detection_probs(ch)
     m = np.arange(PHOTON_CUTOFF + 1)
-    con, err = _outcome_rates(
-        (1.0 - f_ok) ** m, (1.0 - f_bad) ** m, (1.0 - f_ok - f_bad) ** m, ch.detector.d_det
-    )
-    px = ch.p_x_alice * ch.p_x_bob
-    pz = ch.p_z_alice * ch.p_z_bob
-    table = np.stack(
-        [
-            px * err,
-            px * (con - err),
-            pz * con * (1.0 - ch.p_z_test),
-            pz * err * ch.p_z_test,
-            pz * (con - err) * ch.p_z_test,
-        ],
-        axis=1,
-    )
+    silent = ((1.0 - f_ok) ** m, (1.0 - f_bad) ** m, (1.0 - f_ok - f_bad) ** m)
+    table = np.stack(_class_rates(ch, *silent), axis=1)
     return np.column_stack([table, np.maximum(0.0, 1.0 - table.sum(axis=1))])
 
 
@@ -230,16 +231,7 @@ def sample_observations(
     per_photon = rng.multinomial(per_intensity, pmf)
     counts = rng.multinomial(per_photon, _class_table(ch)).astype(float)
 
-    per_class = counts.sum(axis=1)
-    n_x = per_class[:, :2].sum(axis=1)
-    e_x = np.divide(per_class[:, 0], n_x, out=np.zeros(3), where=n_x > 0)
-    z_err, z_test = per_class[:, 3].sum(), per_class[:, 3:5].sum()
-    obs = Observations(
-        n_x=tuple(n_x.tolist()),
-        n_k=tuple(per_class[:, 2].tolist()),
-        e_x=tuple(e_x.tolist()),
-        e_z=float(z_err / z_test) if z_test > 0 else 0.0,
-    )
+    obs = _record(*counts.sum(axis=1)[:, :5].T.tolist())
     if not with_tags:
         return obs
     by_photon = counts.sum(axis=0)

@@ -412,7 +412,8 @@ def _box_points(spec: DetectorSpec, interior_samples: int, seed: int) -> np.ndar
 
 def _orbit_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One (eta, dc) row per detector-swap orbit of the box points, with the
-    efficiencies renormalized by their maximum.
+    efficiencies renormalized by their maximum; a row of four blind detectors
+    (delta_eta = 1) becomes all ones, the limit of four equal efficiencies.
 
     Swapping the two detectors of a basis, efficiency and dark count
     together, leaves both per-block deltas unchanged (see the module
@@ -420,7 +421,8 @@ def _orbit_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are dropped.  numpy sorts complex numbers by real part, then imaginary
     part.
     """
-    eta = points[:, :4] / points[:, :4].max(axis=1, keepdims=True)
+    top = points[:, :4].max(axis=1, keepdims=True)
+    eta = np.divide(points[:, :4], top, out=np.ones_like(points[:, :4]), where=top > 0)
     pairs = np.sort((eta + 1j * points[:, 4:]).reshape(-1, 2, 2), axis=-1).reshape(-1, 4)
     rows = np.unique(np.hstack([pairs.real, pairs.imag]), axis=0)
     return rows[:, :4], rows[:, 4:]

@@ -25,9 +25,9 @@ number of runs, a multinomial of runs per level, a Dirichlet-multinomial
 of their extra rounds) followed by per-level multinomials.  Each
 verifier is deterministic given ``cfg.seed`` and reports the empirical
 violation frequency, the analytic bound, the exact binomial standard error
-of the empirical frequency, and a pass flag meaning
-empirical <= bound + 3*sigma on every tested statistic (and, where the pmf
-gives it, exact probability <= bound).
+of the empirical frequency, and a pass flag meaning empirical <= bound +
+3*sigma on every tested statistic, Serfling's pooled frequency included (and,
+where the pmf gives it, exact probability <= bound).
 """
 
 from __future__ import annotations
@@ -286,7 +286,9 @@ def verify_serfling(cfg: TrialConfig) -> VerifierReport:
 
     Positions of a fixed bit string are assigned to test/key IID; trials
     are bucketed by the realized (n_test, n_key) and each occupied bucket
-    is checked against exp(-2 gamma^2 f_serf(n_test, n_key)).
+    is checked against exp(-2 gamma^2 f_serf(n_test, n_key)); the pooled
+    frequency is checked against the trial-weighted mean bound, so a run with
+    no tested stratum is still judged and a run with no valid trial fails.
     """
     rng = _rng(cfg, "serfling")
     n_t, n_k, s_t, s_k = _serfling_counts(
@@ -319,12 +321,15 @@ def verify_serfling(cfg: TrialConfig) -> VerifierReport:
 
     n_valid = viol.size
     empirical = float(viol.sum()) / n_valid if n_valid else 0.0
+    pooled = float(counts @ bound) / n_valid if n_valid else 0.0
+    sigma = float(_binomial_se(empirical, n_valid))
+    pooled_ok = n_valid > 0 and empirical <= pooled + 3.0 * sigma
     return VerifierReport(
         name="serfling",
         empirical=empirical,
-        bound=float(counts @ bound) / n_valid if n_valid else 0.0,
-        sigma=float(_binomial_se(empirical, n_valid)),
-        passed=bool(np.all((emp <= bound + 3.0 * sig)[tested])),
+        bound=pooled,
+        sigma=sigma,
+        passed=bool(pooled_ok and np.all((emp <= bound + 3.0 * sig)[tested])),
         details={
             "strata_tested": int(tested.sum()),
             "strata_skipped": int(strata.size - tested.sum()),

@@ -92,6 +92,7 @@ class TestExpectedObservations:
         assert obs.n_k[0] == pytest.approx(4.8337903323e9, rel=1e-8)
         assert all(n > 0 for n in obs.n_x)
         assert all(n > 0 for n in obs.n_k)
+        assert all(type(v) is float for v in (*obs.n_x, *obs.n_k, *obs.e_x, obs.e_z))
 
     def test_lossless_noiseless_limit(self):
         mu = 0.5

@@ -12,7 +12,7 @@ import pytest
 from bb84mm import cli
 from bb84mm.channel_sim import ChannelSpec, expected_observations
 from bb84mm.decoy import DecoyConfig
-from bb84mm.detector_model import DetectorSpec, closed_form_deltas
+from bb84mm.detector_model import DetectorSpec, closed_form_deltas, oracle_deltas
 from bb84mm.keyrate import EpsilonBudget, key_length_decoy
 
 BASE_CONFIG = {
@@ -104,6 +104,19 @@ class TestDelta:
         assert payload["oracle"]["d1"] <= payload["closed_form"]["d1"] + 1e-9
         assert payload["oracle"]["d2"] <= payload["closed_form"]["d2"] + 1e-9
         assert "config" in payload
+
+    def test_all_blind_corner(self, tmp_path):
+        # At delta_eta = 1 the all-minimum corner has four zero efficiencies;
+        # renormalized, it is the limit of four equal ones.
+        detector = {"eta_det": 0.5, "d_det": 1e-6, "delta_eta": 1.0, "delta_dc": 0.01}
+        path, out = tmp_path / "cfg.json", tmp_path / "delta.json"
+        path.write_text(json.dumps({"detector": detector}))
+        assert run_cli("delta", "--config", str(path), "--nmax", "4", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        near = oracle_deltas(DetectorSpec(0.5, 1e-6, 1.0 - 1e-9, 0.01), n_max=4)
+        assert np.isfinite(payload["oracle"]["d1"])
+        assert payload["oracle"]["d1"] <= payload["closed_form"]["d1"]
+        assert payload["oracle"]["d1"] == pytest.approx(near.delta1, abs=1e-8)
 
     def test_failed_eigen_solve_is_a_numeric_failure(self, config_path, monkeypatch, capsys):
         def fail(_):

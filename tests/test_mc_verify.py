@@ -238,6 +238,23 @@ class TestSerflingVerifier:
         assert rep.empirical == 0.0
         assert rep.passed
 
+    def test_judged_when_no_stratum_is_tested(self, monkeypatch):
+        # At 1000 trials no (n_test, n_key) stratum reaches MIN_STRATUM, so
+        # only the pooled frequency can catch a run where every trial
+        # violates; a run with no valid trial has nothing to pass on.
+        def all_violate(*args):
+            n_t, n_k, s_t, _ = _serfling_counts(*args)
+            return n_t, n_k, np.zeros_like(s_t), n_k
+
+        monkeypatch.setattr(mc_verify, "_serfling_counts", all_violate)
+        rep = verify_serfling(TrialConfig(trials=1000))
+        assert rep.details["strata_tested"] == 0
+        assert rep.empirical == 1.0 > rep.bound
+        assert not rep.passed
+        monkeypatch.undo()
+        assert verify_serfling(TrialConfig(trials=1000)).passed
+        assert not verify_serfling(TrialConfig(trials=1000, p_test=0.0)).passed
+
 
 class TestSmallPovmVerifier:
     def test_extremal_profile_tight(self):
