@@ -221,8 +221,10 @@ def sample_observations(
     mass there than MAX_TAIL are rejected.  With ``with_tags`` the true
     per-photon-number counts of the X, X-error and key classes are returned
     alongside (unobservable in a real run; the decoy validation tests need
-    them).
+    them).  ``seed`` must be >= 0.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if ch.n_total > np.iinfo(np.int64).max:
         raise ValueError(f"n_total must be at most {np.iinfo(np.int64).max} to sample, got {ch.n_total}")
     pmf = _photon_pmf(cfg)

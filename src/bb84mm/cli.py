@@ -6,9 +6,11 @@ observations file), ``delta`` (closed-form and oracle mismatch metrics),
 (honest-channel observations), ``verify`` (Monte Carlo lemma checks).
 
 All inputs come from a JSON config file; every output embeds the fully
-resolved configuration for reproducibility.  Each config section and each
-observations record is built by the dataclass that owns it, so an unknown
-section or key is an error.  Exit codes: 0 success, 2 configuration error,
+resolved configuration for reproducibility.  Every subcommand checks the
+keys of every config section against the section's owner when it reads the
+file, so an unknown section or key ('section.key') is an error even in a
+section the subcommand does not read; values are checked by the subcommands
+that build the section.  Exit codes: 0 success, 2 configuration error,
 3 numeric failure.
 """
 
@@ -85,52 +87,51 @@ def _reject_booleans(value: Any, path: str, where: str) -> None:
             _reject_booleans(item, path, f"{where}[{i}]")
 
 
-# Config sections, with the keys of the two that no dataclass owns; the
-# dataclasses reject unknown keys of the others.
+# Each config section and its owner: the record that builds it, or the
+# keys of a section that no record owns.  The keys of a record are its
+# fields, apart from the two channel fields the CLI supplies.
 _SECTIONS = {
-    "detector": None, "decoy": None, "channel": None, "epsilons": None, "verify": None,
+    "detector": DetectorSpec, "decoy": DecoyConfig, "channel": ChannelSpec,
+    "epsilons": EpsilonBudget, "verify": TrialConfig,
     "error_correction": {"f_ec"}, "scan": {"loss_db"},
 }
+_SUPPLIED = {"transmissivity", "detector"}  # from scan.loss_db and the detector section
 
 
 def _load_config(path: str) -> dict:
+    """The config at ``path``, the keys of every section checked against its
+    owner whichever sections the subcommand reads; values are checked by the
+    subcommands that build the section."""
     cfg = _load_json(path)
     for name, sec in cfg.items():
         if name not in _SECTIONS:
             raise ConfigError(f"{path}: unknown config section '{name}'")
         if not isinstance(sec, dict):
             raise ConfigError(f"{path}: config section '{name}' must be an object")
-        unknown = sorted(set(sec) - _SECTIONS[name]) if _SECTIONS[name] else []
+        owner = _SECTIONS[name]
+        keys = owner if isinstance(owner, set) else {f.name for f in dataclasses.fields(owner)} - _SUPPLIED
+        unknown = sorted(set(sec) - keys)
         if unknown:
             raise ConfigError(f"{path}: unknown key '{name}.{unknown[0]}'")
     return cfg
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    if required and name not in cfg:
-        raise ConfigError(f"missing config section '{name}'")
-    return cfg.get(name, {})
-
-
-def _build(cls, record: dict, path: str, **extra):
+def _build(cls, record: dict, path: str):
     """cls from a JSON record, its arrays as tuples."""
     fields = {k: tuple(v) if isinstance(v, list) else v for k, v in record.items()}
     try:
-        return cls(**fields, **extra)
+        return cls(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _detector(cfg: dict) -> DetectorSpec:
-    return _build(DetectorSpec, _section(cfg, "detector"), "detector")
-
-
-def _decoy_config(cfg: dict) -> DecoyConfig:
-    return _build(DecoyConfig, _section(cfg, "decoy"), "decoy")
-
-
-def _budget(cfg: dict) -> EpsilonBudget:
-    return _build(EpsilonBudget, _section(cfg, "epsilons", required=False), "epsilons")
+def _record(cfg: dict, name: str, required: bool = True, **extra):
+    """Section ``name`` with ``extra`` merged over it, built by its owner (a
+    key-set section stays a dict)."""
+    if required and name not in cfg:
+        raise ConfigError(f"missing config section '{name}'")
+    owner, record = _SECTIONS[name], {**cfg.get(name, {}), **extra}
+    return record if isinstance(owner, set) else _build(owner, record, name)
 
 
 def _transmissivity(loss_db: float) -> float:
@@ -138,7 +139,7 @@ def _transmissivity(loss_db: float) -> float:
 
 
 def _losses(cfg: dict) -> list[float]:
-    losses = _section(cfg, "scan").get("loss_db")
+    losses = _record(cfg, "scan").get("loss_db")
     if not isinstance(losses, list) or not all(isinstance(x, (int, float)) for x in losses):
         raise ConfigError("scan.loss_db must be a list of numbers")
     for i, x in enumerate(losses):
@@ -155,18 +156,13 @@ def _losses(cfg: dict) -> list[float]:
 
 
 def _channel(cfg: dict, loss_db: float) -> ChannelSpec:
-    return _build(
-        ChannelSpec,
-        _section(cfg, "channel"),
-        "channel",
-        transmissivity=_transmissivity(loss_db),
-        detector=_detector(cfg),
+    return _record(
+        cfg, "channel", transmissivity=_transmissivity(loss_db), detector=_record(cfg, "detector")
     )
 
 
 def _f_ec(cfg: dict) -> float:
-    sec = _section(cfg, "error_correction", required=False)
-    f_ec = sec.get("f_ec", DEFAULT_EC_EFFICIENCY)
+    f_ec = _record(cfg, "error_correction", required=False).get("f_ec", DEFAULT_EC_EFFICIENCY)
     try:
         lambda_ec_default(0, 0.0, f_ec)  # validates f_ec
     except ValueError as exc:
@@ -197,14 +193,14 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _observation_record(path: str) -> dict:
+def _observations(path: str) -> Observations:
     """The record at the top level of the file, or under "observations" as
     ``simulate`` writes it."""
     record = _load_json(path)
     record = record.get("observations", record)
     if not isinstance(record, dict):
         raise ConfigError(f"{path}: observations must be an object")
-    return record
+    return _build(Observations, record, path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +210,13 @@ def _observation_record(path: str) -> dict:
 
 def cmd_keyrate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    decoy_cfg = _decoy_config(cfg)
-    budget = _budget(cfg)
-    detector = _detector(cfg)
-    deltas = closed_form_deltas(detector)
+    decoy_cfg = _record(cfg, "decoy")
+    budget = _record(cfg, "epsilons", required=False)
+    deltas = closed_form_deltas(_record(cfg, "detector"))
     f_ec = _f_ec(cfg)
 
     if args.observations:
-        obs = _build(Observations, _observation_record(args.observations), args.observations)
+        obs = _observations(args.observations)
         decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
         _emit_json(
             {
@@ -250,7 +245,7 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
 
 def cmd_delta(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    detector = _detector(cfg)
+    detector = _record(cfg, "detector")
     closed = closed_form_deltas(detector)
     try:
         oracle = oracle_deltas(detector, n_max=args.nmax, seed=args.seed)
@@ -269,9 +264,9 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 def cmd_decoy(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    decoy_cfg = _decoy_config(cfg)
-    eps_d_sq = _budget(cfg).eps_at_d ** 2
-    obs = _build(Observations, _observation_record(args.observations), args.observations)
+    decoy_cfg = _record(cfg, "decoy")
+    eps_d_sq = _record(cfg, "epsilons", required=False).eps_at_d ** 2
+    obs = _observations(args.observations)
     classes = {"x": obs.counts_x(), "x_err": obs.counts_x_err(), "k": obs.counts_k()}
     names = ("vacuum_lower", "single_lower", "single_upper")
     bounds = {
@@ -287,7 +282,7 @@ def cmd_decoy(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    decoy_cfg = _decoy_config(cfg)
+    decoy_cfg = _record(cfg, "decoy")
     losses = _losses(cfg) if "scan" in cfg else [0.0]
     if not losses:
         raise ConfigError("scan.loss_db is empty: simulate runs at its first entry")
@@ -322,15 +317,10 @@ _VERIFIERS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    section = _section(cfg, "verify", required=False)
-    overrides = dict(section)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    trial_cfg = _build(TrialConfig, overrides, "verify")
+    flags = {"trials": args.trials, "seed": args.seed}
+    trial_cfg = _record(cfg, "verify", required=False, **{k: v for k, v in flags.items() if v is not None})
     verifier = _VERIFIERS[args.lemma]
-    extra = (_decoy_config(cfg),) if args.lemma == "decoy" and "decoy" in cfg else ()
+    extra = (_record(cfg, "decoy"),) if args.lemma == "decoy" and "decoy" in cfg else ()
     start = time.perf_counter()
     try:
         report = verifier(trial_cfg, *extra)

@@ -448,12 +448,15 @@ def oracle_deltas(
     leave 107 rows to solve, 91 of them corners; renormalizing alone would
     leave 256.  A call at the ``delta`` defaults takes about 14 ms (median
     of the benchmark's ``mismatch_oracle`` ops, 2-core x86-64, one BLAS
-    thread).
+    thread).  ``n_max`` must lie in [1, MAX_BLOCK_PHOTONS], ``seed`` be
+    >= 0 and ``interior_samples`` be an integer >= 0 (0: corners only).
     """
     if not 1 <= n_max <= MAX_BLOCK_PHOTONS:
         raise ValueError(f"n_max must lie in [1, {MAX_BLOCK_PHOTONS}], got {n_max}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if not isinstance(interior_samples, (int, np.integer)) or interior_samples < 0:
+        raise ValueError(f"interior_samples must be an integer >= 0, got {interior_samples!r}")
     eta, dc = _orbit_rows(_box_points(spec, interior_samples, seed))
     best1 = best2 = 0.0
     for n in range(n_max + 1):

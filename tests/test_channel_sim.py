@@ -202,6 +202,11 @@ class TestSampleObservations:
             with pytest.raises(ValueError, match="intensities"):
                 sample_observations(ch, DecoyConfig((mu1, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)), seed=0)
 
+    def test_rejects_a_negative_seed(self):
+        ch = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
+        with pytest.raises(ValueError, match="seed"):
+            sample_observations(ch, DecoyConfig.reference(), seed=-1)
+
     def test_rejects_n_total_beyond_int64(self):
         cfg = DecoyConfig.reference()
         assert sample_observations(ChannelSpec.reference(10.0, n_total=2**63 - 1), cfg, seed=0)

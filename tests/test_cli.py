@@ -217,11 +217,11 @@ FULL_RECORD = {"n_x": [9e5, 1e6, 1e5], "n_k": [8e5, 9e5, 9e4], "e_x": [1e-3, 1e-
 
 def _with(section, **fields):
     """BASE_CONFIG with fields set in one section."""
-    return dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **fields)})
+    return dict(BASE_CONFIG, **{section: dict(BASE_CONFIG.get(section, {}), **fields)})
 
 
-# Each case exits 2 and names its key; each used to run (exit 0) or fail
-# deep in the library (exit 1).
+# Each case exits 2 and names its key; each used to run (exit 0), fail
+# deep in the library (exit 1) or name no key.
 BOUNDARY_CASES = {
     "keyrate-bare-counts": ("keyrate", BASE_CONFIG, BARE_COUNTS, "'x'"),
     "keyrate-bare-counts-e_z": ("keyrate", BASE_CONFIG, dict(BARE_COUNTS, e_z=0.01), "'x'"),
@@ -241,6 +241,14 @@ BOUNDARY_CASES = {
     "keyrate-4-n_x": ("keyrate", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6, 1e5, 1e5]), "n_x"),
     "decoy-2-n_x": ("decoy", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6]), "n_x"),
     "decoy-4-n_x": ("decoy", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6, 1e5, 1e5]), "n_x"),
+    # a misspelled key in a section the subcommand does not read
+    "delta-channel.n_totl": ("delta", _with("channel", n_totl=1e9), None, "channel.n_totl"),
+    "delta-channel.transmissivity": ("delta", _with("channel", transmissivity=0.5), None, "channel.transmissivity"),
+    "decoy-detector.eta": ("decoy", _with("detector", eta=0.7), FULL_RECORD, "detector.eta"),
+    "simulate-epsilons.eps_p": ("simulate", _with("epsilons", eps_p=1e-12), None, "epsilons.eps_p"),
+    "keyrate-verify.trails": ("keyrate", _with("verify", trails=1000), None, "verify.trails"),
+    "verify-channel.p_ztest": ("verify", _with("channel", p_ztest=0.05), None, "channel.p_ztest"),
+    "simulate-seed--1": ("simulate --seed -1", BASE_CONFIG, None, "seed must be >= 0"),
     **{
         f"keyrate-{name}-1e-200": ("keyrate", _with("epsilons", **{name: 1e-200}), None, name)
         for name in ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d")
@@ -254,7 +262,7 @@ BOUNDARY_CASES = {
 def test_boundary_case_exits_2_and_names_its_key(tmp_path, capsys, command, cfg, record, key):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    argv = [*command.split(), "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     if record is not None:
         obs_path = tmp_path / "obs.json"
         obs_path.write_text(json.dumps(record))

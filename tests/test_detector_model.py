@@ -320,7 +320,7 @@ class TestOracleDeltas:
     @pytest.mark.parametrize(
         "kwargs, field",
         [({"n_max": 0}, "n_max"), ({"n_max": MAX_BLOCK_PHOTONS + 1}, "n_max"),
-         ({"seed": -1}, "seed")],
+         ({"seed": -1}, "seed"), ({"interior_samples": -1}, "interior_samples")],
     )
     def test_rejects_out_of_range_settings(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
