@@ -34,6 +34,7 @@ from scipy.special import gammainc
 
 from bb84mm.decoy import DecoyConfig, Observations, photon_given_intensity
 from bb84mm.detector_model import DetectorSpec
+from bb84mm.stat_bounds import _Record
 
 __all__ = [
     "ChannelSpec",
@@ -51,7 +52,7 @@ MAX_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(_Record):
     """Honest channel plus protocol probabilities.
 
     ``transmissivity`` is the channel transmission (loss in dB maps to
@@ -59,7 +60,8 @@ class ChannelSpec:
     between Alice's and Bob's mode bases.  The detector is used at its
     nominal efficiency and dark-count rate.  Each party picks the X basis
     with the probability left by Z, so ``p_x_alice`` and ``p_x_bob`` are
-    derived, not set.
+    derived, not set.  ``n_total`` is at most 1e24, where the decision's
+    binomial quantiles still keep their 1/sqrt(n) scale.
     """
 
     transmissivity: float
@@ -70,22 +72,11 @@ class ChannelSpec:
     p_z_bob: float = 0.5
     p_z_test: float = 0.05
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.transmissivity <= 1.0:
-            raise ValueError(f"transmissivity must lie in (0, 1], got {self.transmissivity}")
-        if not math.isfinite(self.misalignment_deg):
-            raise ValueError(f"misalignment_deg must be finite, got {self.misalignment_deg}")
-        # JSON configs express large round counts as floats (1e12)
-        if isinstance(self.n_total, float):
-            if not self.n_total.is_integer():
-                raise ValueError(f"n_total must be a finite integer, got {self.n_total}")
-            object.__setattr__(self, "n_total", int(self.n_total))
-        if self.n_total < 1:
-            raise ValueError(f"n_total must be >= 1, got {self.n_total}")
-        for name in ("p_z_alice", "p_z_bob", "p_z_test"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+    _FIELDS = {
+        "transmissivity": (0.0, 1.0, float, "(]"), "n_total": (1, 10**24, int, "[]"),
+        "misalignment_deg": (-math.inf, math.inf, float, "[]"),
+        **dict.fromkeys(("p_z_alice", "p_z_bob", "p_z_test"), (0.0, 1.0, float, "()")),
+    }
 
     p_x_alice = property(lambda self: 1.0 - self.p_z_alice)
     p_x_bob = property(lambda self: 1.0 - self.p_z_bob)

@@ -6,19 +6,20 @@ observations file), ``delta`` (closed-form and oracle mismatch metrics),
 (honest-channel observations), ``verify`` (Monte Carlo lemma checks).
 
 All inputs come from a JSON config file; every output embeds the fully
-resolved configuration for reproducibility.  Every subcommand checks the
-keys of every config section against the section's owner when it reads the
-file, so an unknown section or key ('section.key') is an error even in a
-section the subcommand does not read; values are checked by the subcommands
-that build the section.  Exit codes: 0 success, 2 configuration error,
-3 numeric failure.
+resolved configuration for reproducibility.  Every subcommand builds every
+config section when it reads the file, so an unknown section, an unknown or
+missing key, or a bad value is an error naming 'section.key' (or
+'section.key[i]') even in a section the subcommand does not read.  Exit
+codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
+import math
 import sys
 import time
 from typing import Any
@@ -26,12 +27,7 @@ from typing import Any
 from bb84mm.channel_sim import ChannelSpec, expected_observations, sample_observations
 from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas, oracle_deltas
-from bb84mm.keyrate import (
-    DEFAULT_EC_EFFICIENCY,
-    EpsilonBudget,
-    key_length_decoy,
-    lambda_ec_default,
-)
+from bb84mm.keyrate import EpsilonBudget, _ec_efficiency, key_length_decoy
 from bb84mm.mc_verify import (
     TrialConfig,
     verify_decoy_hoeffding,
@@ -39,6 +35,7 @@ from bb84mm.mc_verify import (
     verify_serfling,
     verify_small_povm,
 )
+from bb84mm.stat_bounds import _checked_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,104 +67,91 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _reject_booleans(data, path, "")
     return data
-
-
-def _reject_booleans(value: Any, path: str, where: str) -> None:
-    """No config or observations field is a boolean, and Python would read
-    true/false as the numbers 1/0, so any JSON boolean is an error."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: {where} must not be a boolean, got {json.dumps(value)}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_booleans(item, path, f"{where}.{key}" if where else key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_booleans(item, path, f"{where}[{i}]")
-
-
-# Each config section and its owner: the record that builds it, or the
-# keys of a section that no record owns.  The keys of a record are its
-# fields, apart from the two channel fields the CLI supplies.
-_SECTIONS = {
-    "detector": DetectorSpec, "decoy": DecoyConfig, "channel": ChannelSpec,
-    "epsilons": EpsilonBudget, "verify": TrialConfig,
-    "error_correction": {"f_ec"}, "scan": {"loss_db"},
-}
-_SUPPLIED = {"transmissivity", "detector"}  # from scan.loss_db and the detector section
-
-
-def _load_config(path: str) -> dict:
-    """The config at ``path``, the keys of every section checked against its
-    owner whichever sections the subcommand reads; values are checked by the
-    subcommands that build the section."""
-    cfg = _load_json(path)
-    for name, sec in cfg.items():
-        if name not in _SECTIONS:
-            raise ConfigError(f"{path}: unknown config section '{name}'")
-        if not isinstance(sec, dict):
-            raise ConfigError(f"{path}: config section '{name}' must be an object")
-        owner = _SECTIONS[name]
-        keys = owner if isinstance(owner, set) else {f.name for f in dataclasses.fields(owner)} - _SUPPLIED
-        unknown = sorted(set(sec) - keys)
-        if unknown:
-            raise ConfigError(f"{path}: unknown key '{name}.{unknown[0]}'")
-    return cfg
-
-
-def _build(cls, record: dict, path: str):
-    """cls from a JSON record, its arrays as tuples."""
-    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in record.items()}
-    try:
-        return cls(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _record(cfg: dict, name: str, required: bool = True, **extra):
-    """Section ``name`` with ``extra`` merged over it, built by its owner (a
-    key-set section stays a dict)."""
-    if required and name not in cfg:
-        raise ConfigError(f"missing config section '{name}'")
-    owner, record = _SECTIONS[name], {**cfg.get(name, {}), **extra}
-    return record if isinstance(owner, set) else _build(owner, record, name)
 
 
 def _transmissivity(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def _losses(cfg: dict) -> list[float]:
-    losses = _record(cfg, "scan").get("loss_db")
-    if not isinstance(losses, list) or not all(isinstance(x, (int, float)) for x in losses):
-        raise ConfigError("scan.loss_db must be a list of numbers")
-    for i, x in enumerate(losses):
-        try:
-            ok = x >= 0.0 and _transmissivity(x) > 0.0
-        except OverflowError:  # an integer too large for a float
-            ok = False
-        if not ok:
-            raise ConfigError(
-                f"scan.loss_db[{i}] must be a loss in dB >= 0 whose transmissivity "
+def _scan(loss_db: list) -> list[float]:
+    """The losses of ``scan.loss_db``: each a number >= 0 dB whose
+    transmissivity is > 0."""
+    if not isinstance(loss_db, list):
+        raise ValueError("loss_db must be a list of numbers")
+    for i, x in enumerate(loss_db):
+        if _transmissivity(_checked_number(f"loss_db[{i}]", x, 0.0, math.inf)) == 0.0:
+            raise ValueError(
+                f"loss_db[{i}] must be a loss in dB >= 0 whose transmissivity "
                 f"10^(-loss/10) is > 0, got {x!r}"
             )
-    return [float(x) for x in losses]
+    return [float(x) for x in loss_db]
 
 
-def _channel(cfg: dict, loss_db: float) -> ChannelSpec:
-    return _record(
-        cfg, "channel", transmissivity=_transmissivity(loss_db), detector=_record(cfg, "detector")
-    )
+# Each config section and its owner, which builds it from the section's
+# keys: a record, or a function for the sections no record owns.
+_SECTIONS = {
+    "detector": DetectorSpec, "decoy": DecoyConfig, "channel": ChannelSpec,
+    "epsilons": EpsilonBudget, "verify": TrialConfig,
+    "error_correction": _ec_efficiency, "scan": _scan,
+}
 
 
-def _f_ec(cfg: dict) -> float:
-    f_ec = _record(cfg, "error_correction", required=False).get("f_ec", DEFAULT_EC_EFFICIENCY)
+def _load_config(path: str | None) -> tuple[dict, dict]:
+    """The config at ``path`` (none: empty) and every section it holds,
+    built by its owner, so a file is valid or invalid for every subcommand
+    alike.  The channel is built at transmissivity 1 with the file's
+    detector; a section absent from the file is built from its owner's
+    defaults when every key has one."""
+    cfg = _load_json(path) if path else {}
+    for name, sec in cfg.items():
+        if name not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown config section '{name}'")
+        if not isinstance(sec, dict):
+            raise ConfigError(f"{path}: config section '{name}' must be an object")
+    built = {}
+    for name, owner in _SECTIONS.items():
+        supplied = {}
+        if name == "channel" and name in cfg:
+            if "detector" not in built:
+                raise ConfigError(f"{path}: missing config section 'detector' for the channel")
+            supplied = {"transmissivity": 1.0, "detector": built["detector"]}
+        if name not in cfg and any(_keys(owner, supplied).values()):
+            continue  # absent, and some key has no default
+        built[name] = _build(owner, cfg.get(name, {}), path, name, **supplied)
+    return cfg, built
+
+
+def _keys(owner, supplied: dict) -> dict[str, bool]:
+    """Each key of ``owner`` apart from ``supplied``, and whether it is
+    required (has no default)."""
+    params = inspect.signature(owner).parameters.values()
+    return {p.name: p.default is p.empty for p in params if p.name not in supplied}
+
+
+def _build(owner, record: dict, path: str, section: str = "", **supplied):
+    """``owner`` built from a JSON record and the ``supplied`` arguments,
+    after checking the record's keys against the owner's parameters; an
+    error names a field as 'section.key', or 'key' when there is no
+    section."""
+    prefix = f"{section}." if section else ""
+    keys = _keys(owner, supplied)
+    unknown = [k for k in record if k not in keys]
+    if unknown:
+        raise ConfigError(f"{path}: unknown key '{prefix}{unknown[0]}'")
+    missing = [k for k, required in keys.items() if required and k not in record]
+    if missing:
+        raise ConfigError(f"{path}: missing key '{prefix}{missing[0]}'")
     try:
-        lambda_ec_default(0, 0.0, f_ec)  # validates f_ec
+        return owner(**record, **supplied)
     except ValueError as exc:
-        raise ConfigError(f"error_correction: {exc}") from exc
-    return float(f_ec)
+        raise ConfigError(f"{prefix}{exc}" if section else f"{path}: {exc}") from exc
+
+
+def _section(built: dict, name: str):
+    if name not in built:
+        raise ConfigError(f"missing config section '{name}'")
+    return built[name]
 
 
 def _resolved(cfg: dict, **extra: Any) -> dict:
@@ -209,11 +193,10 @@ def _observations(path: str) -> Observations:
 
 
 def cmd_keyrate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    decoy_cfg = _record(cfg, "decoy")
-    budget = _record(cfg, "epsilons", required=False)
-    deltas = closed_form_deltas(_record(cfg, "detector"))
-    f_ec = _f_ec(cfg)
+    cfg, built = _load_config(args.config)
+    decoy_cfg = _section(built, "decoy")
+    budget, f_ec = built["epsilons"], built["error_correction"]
+    deltas = closed_form_deltas(_section(built, "detector"))
 
     if args.observations:
         obs = _observations(args.observations)
@@ -228,10 +211,10 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
 
-    losses = _losses(cfg)
+    losses, channel = _section(built, "scan"), _section(built, "channel")
     lines = ["# config=" + json.dumps(_resolved(cfg), sort_keys=True), CSV_HEADER]
     for loss in losses:
-        ch = _channel(cfg, loss)
+        ch = dataclasses.replace(channel, transmissivity=_transmissivity(loss))
         obs = expected_observations(ch, decoy_cfg)
         decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
         rate = decision.key_length / ch.n_total
@@ -244,8 +227,8 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    detector = _record(cfg, "detector")
+    cfg, built = _load_config(args.config)
+    detector = _section(built, "detector")
     closed = closed_form_deltas(detector)
     try:
         oracle = oracle_deltas(detector, n_max=args.nmax, seed=args.seed)
@@ -263,9 +246,9 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_decoy(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    decoy_cfg = _record(cfg, "decoy")
-    eps_d_sq = _record(cfg, "epsilons", required=False).eps_at_d ** 2
+    cfg, built = _load_config(args.config)
+    decoy_cfg = _section(built, "decoy")
+    eps_d_sq = built["epsilons"].eps_at_d ** 2
     obs = _observations(args.observations)
     classes = {"x": obs.counts_x(), "x_err": obs.counts_x_err(), "k": obs.counts_k()}
     names = ("vacuum_lower", "single_lower", "single_upper")
@@ -281,13 +264,13 @@ def cmd_decoy(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    decoy_cfg = _record(cfg, "decoy")
-    losses = _losses(cfg) if "scan" in cfg else [0.0]
+    cfg, built = _load_config(args.config)
+    decoy_cfg = _section(built, "decoy")
+    losses = built.get("scan", [0.0])
     if not losses:
         raise ConfigError("scan.loss_db is empty: simulate runs at its first entry")
     loss = losses[0]
-    ch = _channel(cfg, loss)
+    ch = dataclasses.replace(_section(built, "channel"), transmissivity=_transmissivity(loss))
     if args.seed is None:
         obs = expected_observations(ch, decoy_cfg)
         mode = "expected"
@@ -316,11 +299,14 @@ _VERIFIERS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    flags = {"trials": args.trials, "seed": args.seed}
-    trial_cfg = _record(cfg, "verify", required=False, **{k: v for k, v in flags.items() if v is not None})
+    cfg, built = _load_config(args.config)
+    flags = {k: v for k, v in {"trials": args.trials, "seed": args.seed}.items() if v is not None}
+    try:
+        trial_cfg = dataclasses.replace(built["verify"], **flags)
+    except ValueError as exc:
+        raise ConfigError(f"verify.{exc}") from exc
     verifier = _VERIFIERS[args.lemma]
-    extra = (_record(cfg, "decoy"),) if args.lemma == "decoy" and "decoy" in cfg else ()
+    extra = (built["decoy"],) if args.lemma == "decoy" and "decoy" in built else ()
     start = time.perf_counter()
     try:
         report = verifier(trial_cfg, *extra)

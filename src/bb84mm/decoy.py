@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bb84mm.stat_bounds import hoeffding_decoy_dev
+from bb84mm.stat_bounds import _Record, hoeffding_decoy_dev
 
 __all__ = [
     "DecoyConfig",
@@ -40,27 +40,25 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class DecoyConfig:
-    """Intensities mu1 > mu2 + mu3, mu2 > mu3 >= 0 and their probabilities."""
+class DecoyConfig(_Record):
+    """Intensities mu1 > mu2 + mu3, mu2 > mu3 >= 0, each at most 100 (the
+    bounds' exp(mu) stays far from overflow), and their probabilities."""
 
     intensities: tuple[float, float, float]
     probabilities: tuple[float, float, float]
 
+    _FIELDS = {"intensities": (0.0, 100.0, tuple, "[]"), "probabilities": (0.0, 1.0, tuple, "(]")}
+
     def __post_init__(self) -> None:
-        for name in ("intensities", "probabilities"):
-            values = getattr(self, name)
-            if len(values) != 3 or not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} must be 3 finite numbers, one per intensity, got {values}")
+        super().__post_init__()
         mu1, mu2, mu3 = self.intensities
-        if not (mu1 > mu2 + mu3 and mu2 > mu3 >= 0.0):
+        if not (mu1 > mu2 + mu3 and mu2 > mu3):
             raise ValueError(
                 f"intensities must satisfy mu1 > mu2 + mu3 and mu2 > mu3 >= 0, "
                 f"got {self.intensities}"
             )
-        if any(p <= 0.0 for p in self.probabilities):
-            raise ValueError(f"intensity probabilities must be positive, got {self.probabilities}")
         if abs(sum(self.probabilities) - 1.0) > 1e-12:
-            raise ValueError(f"intensity probabilities must sum to 1, got {self.probabilities}")
+            raise ValueError(f"probabilities must sum to 1, got {self.probabilities}")
 
     @classmethod
     def reference(cls) -> "DecoyConfig":
@@ -68,14 +66,8 @@ class DecoyConfig:
         return cls(intensities=(0.9, 0.1, 0.0), probabilities=(1 / 3, 1 / 3, 1 / 3))
 
 
-def _check_counts(name: str, counts) -> None:
-    # `c < 0` is false for NaN, so finiteness is checked explicitly.
-    if len(counts) != 3 or not all(math.isfinite(c) and c >= 0 for c in counts):
-        raise ValueError(f"{name} must be 3 finite nonnegative counts, one per intensity, got {counts}")
-
-
 @dataclass(frozen=True)
-class OutcomeCounts:
+class OutcomeCounts(_Record):
     """Per-intensity counts of one outcome class.
 
     Counts are integers in a protocol run; expectation pipelines may carry
@@ -84,8 +76,7 @@ class OutcomeCounts:
 
     counts: tuple[float, float, float]
 
-    def __post_init__(self) -> None:
-        _check_counts("counts", self.counts)
+    _FIELDS = {"counts": (0.0, math.inf, tuple, "[]")}
 
     @property
     def total(self) -> float:
@@ -98,7 +89,7 @@ def _snap_to_integer(v: float) -> float:
 
 
 @dataclass(frozen=True)
-class Observations:
+class Observations(_Record):
     """Full per-intensity observation record of one protocol run.
 
     ``n_x``: X-basis conclusive counts, ``n_k``: key-generation counts,
@@ -111,14 +102,10 @@ class Observations:
     e_x: tuple[float, float, float]
     e_z: float
 
-    def __post_init__(self) -> None:
-        _check_counts("n_x", self.n_x)
-        _check_counts("n_k", self.n_k)
-        # NaN fails both comparisons, so it is rejected here too.
-        if len(self.e_x) != 3 or not all(0.0 <= e <= 1.0 for e in self.e_x):
-            raise ValueError(f"e_x must be 3 rates in [0, 1], one per intensity, got {self.e_x}")
-        if not 0.0 <= self.e_z <= 1.0:
-            raise ValueError(f"e_z must lie in [0, 1], got {self.e_z}")
+    _FIELDS = {
+        "n_x": (0.0, math.inf, tuple, "[]"), "n_k": (0.0, math.inf, tuple, "[]"),
+        "e_x": (0.0, 1.0, tuple, "[]"), "e_z": (0.0, 1.0, float, "[]"),
+    }
 
     @property
     def n_x_err(self) -> tuple[float, float, float]:

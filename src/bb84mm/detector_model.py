@@ -54,6 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bb84mm.stat_bounds import _Record
+
 __all__ = [
     "DetectorSpec",
     "DeltaPair",
@@ -76,7 +78,7 @@ MAX_BLOCK_PHOTONS = 64
 
 
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(_Record):
     """Nominal detector parameters with relative characterization tolerances.
 
     Each of the four detectors (two bases times two outcomes) has an
@@ -89,15 +91,13 @@ class DetectorSpec:
     delta_eta: float = 0.0
     delta_dc: float = 0.0
 
+    _FIELDS = {
+        "eta_det": (0.0, 1.0, float, "(]"), "d_det": (0.0, 1.0, float, "[)"),
+        "delta_eta": (0.0, 1.0, float, "[]"), "delta_dc": (0.0, 1.0, float, "[]"),
+    }
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta_det <= 1.0:
-            raise ValueError(f"eta_det must lie in (0, 1], got {self.eta_det}")
-        if not 0.0 <= self.d_det < 1.0:
-            raise ValueError(f"d_det must lie in [0, 1), got {self.d_det}")
-        if not 0.0 <= self.delta_eta <= 1.0:
-            raise ValueError(f"delta_eta must lie in [0, 1], got {self.delta_eta}")
-        if not 0.0 <= self.delta_dc <= 1.0:
-            raise ValueError(f"delta_dc must lie in [0, 1], got {self.delta_dc}")
+        super().__post_init__()
         if self.eta_det * (1.0 + self.delta_eta) > 1.0 + 1e-12:
             raise ValueError("eta_det*(1+delta_eta) must not exceed 1")
         if self.d_det * (1.0 + self.delta_dc) >= 1.0:
@@ -126,19 +126,14 @@ class DetectorSpec:
 
 
 @dataclass(frozen=True)
-class DeltaPair:
+class DeltaPair(_Record):
     """The two mismatch metrics: delta1 (additive phase-error penalty) and
     delta2 (worst-case discard weight of the key-basis residual filter)."""
 
     delta1: float
     delta2: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.delta1 <= 4.0 or not 0.0 <= self.delta2 <= 1.0:
-            raise ValueError(
-                f"delta1 must lie in [0, 4] and delta2 in [0, 1], "
-                f"got ({self.delta1}, {self.delta2})"
-            )
+    _FIELDS = {"delta1": (0.0, 4.0, float, "[]"), "delta2": (0.0, 1.0, float, "[]")}
 
     @classmethod
     def zero(cls) -> "DeltaPair":

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
 from bb84mm.detector_model import DeltaPair
 from bb84mm.phase_error import PhaseErrorQuery, bound_mismatch
+from bb84mm.stat_bounds import _checked_number, _Record
 
 __all__ = [
     "EpsilonBudget",
@@ -40,16 +41,18 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _ec_efficiency(f_ec: float = DEFAULT_EC_EFFICIENCY) -> float:
+    """``f_ec``, checked: a finite number >= 1."""
+    return _checked_number("f_ec", f_ec, 1.0, math.inf, float, "[)")
+
+
 def lambda_ec_default(n_key: float, e_z: float, f_ec: float = DEFAULT_EC_EFFICIENCY) -> float:
     """Error-correction allowance f_ec * n_key * h(e_z)."""
-    # NaN fails the range check; a bool is an int but not an efficiency.
-    if isinstance(f_ec, bool) or not isinstance(f_ec, (int, float)) or not 1.0 <= f_ec < math.inf:
-        raise ValueError(f"f_ec must be a finite number >= 1, got {f_ec!r}")
-    return float(f_ec * n_key * binary_entropy(e_z))
+    return float(_ec_efficiency(f_ec) * n_key * binary_entropy(e_z))
 
 
 @dataclass(frozen=True)
-class EpsilonBudget:
+class EpsilonBudget(_Record):
     """The epsilon components of the security parameter.
 
     The acceptance-test epsilon combines in quadrature: nine decoy
@@ -64,13 +67,17 @@ class EpsilonBudget:
     eps_ev: float = 1e-12
     eps_pa: float = 1e-12
 
+    _FIELDS = dict.fromkeys(
+        ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d", "eps_ev", "eps_pa"),
+        (0.0, 1.0, float, "()"),
+    )
+
     def __post_init__(self) -> None:
-        for name in ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d", "eps_ev", "eps_pa"):
+        super().__post_init__()
+        # The acceptance-test epsilons enter the bounds squared.
+        for name in ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d"):
             v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
-            # The acceptance-test epsilons enter the bounds squared.
-            if name.startswith("eps_at") and v * v == 0.0:
+            if v * v == 0.0:
                 raise ValueError(f"{name} squared underflows to 0, got {v}")
 
     @classmethod
@@ -118,7 +125,8 @@ def _decide(
     lam: float,
 ) -> KeyDecision:
     """l = max(0, floor(key_bits (1 - h(B)) - lambda_ec - 2 log2(1/(2 eps_pa))
-    - log2(2/eps_ev))), with B the mismatch phase-error bound."""
+    - log2(2/eps_ev))), with B the mismatch phase-error bound; each penalty
+    is finite for every epsilon in (0, 1), and an overflowed lambda_ec gives 0."""
     b = bound_mismatch(
         PhaseErrorQuery(
             e_obs=e_obs,
@@ -131,9 +139,9 @@ def _decide(
         )
     )
     phase_bound = float(b.value)
-    hash_penalties = 2.0 * math.log2(1.0 / (2.0 * budget.eps_pa)) + math.log2(2.0 / budget.eps_ev)
+    hash_penalties = -2.0 * math.log2(2.0 * budget.eps_pa) + 1.0 - math.log2(budget.eps_ev)
     raw = key_bits * (1.0 - binary_entropy(phase_bound)) - lam - hash_penalties
-    return KeyDecision(max(0, math.floor(raw)), lam, phase_bound, feasible=True)
+    return KeyDecision(math.floor(raw) if raw >= 1.0 else 0, lam, phase_bound, feasible=True)
 
 
 def key_length_single_photon(

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
@@ -42,6 +41,7 @@ import numpy as np
 from bb84mm.decoy import DecoyConfig, intensity_given_photon
 from bb84mm.stat_bounds import (
     TailQuery,
+    _Record,
     _tail_threshold,
     binomial_tail,
     f_serf,
@@ -70,24 +70,6 @@ EXACT_RTOL = 1e-12
 MIN_TRANSFER_RATE = 0.01
 
 PROFILES = ("extremal", "heterogeneous", "zero")
-# Closed range of each numeric TrialConfig field, and whether it is an
-# integer; fewer than 1000 trials give no reportable frequencies.
-_RANGES = {
-    "n": (1, math.inf, True),
-    "trials": (1000, math.inf, True),
-    "seed": (0, math.inf, True),
-    "p_test": (0.0, 1.0, False),
-    "p_key": (0.0, 1.0, False),
-    "ones_density": (0.0, 1.0, False),
-    "gamma": (0.0, math.inf, False),
-    "delta": (0.0, 1.0, False),
-    "c": (0.0, 1.0, False),
-    "base_rate": (0.0, 1.0, False),
-    "eps_sq": (0.0, 1.0, False),
-    "markov_stay": (0.0, 1.0, False),
-    "photon_levels": (1, math.inf, True),
-    "constant_photons": (-1, math.inf, True),
-}
 
 # The distribution each verifier draws its counts from, by report name.
 SAMPLERS = {
@@ -99,7 +81,7 @@ SAMPLERS = {
 
 
 @dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(_Record):
     """Shared trial settings plus per-lemma scenario parameters.
 
     Defaults reproduce the acceptance configuration (n = 2000, 1e5 trials).
@@ -124,17 +106,20 @@ class TrialConfig:
     photon_levels: int = 3
     constant_photons: int = -1  # >= 0 pins the photon number (IID reduction)
 
+    # Fewer than 1000 trials give no reportable frequencies.
+    _FIELDS = {
+        "n": (1, math.inf, int, "[]"), "trials": (1000, math.inf, int, "[]"),
+        "seed": (0, math.inf, int, "[]"), "gamma": (0.0, math.inf, float, "[]"),
+        "eps_sq": (0.0, 1.0, float, "(]"), "photon_levels": (1, math.inf, int, "[]"),
+        "constant_photons": (-1, math.inf, int, "[]"),
+        **dict.fromkeys(
+            ("p_test", "p_key", "ones_density", "delta", "c", "base_rate", "markov_stay"),
+            (0.0, 1.0, float, "[]"),
+        ),
+    }
+
     def __post_init__(self) -> None:
-        for name, (lo, hi, integer) in _RANGES.items():
-            value = getattr(self, name)
-            kind = Integral if integer else Real
-            if isinstance(value, bool) or not isinstance(value, kind) or not (
-                math.isfinite(value) and lo <= value <= hi
-            ):
-                what = "integer" if integer else "number"
-                raise ValueError(f"{name} must be a finite {what} in [{lo}, {hi}], got {value!r}")
-        if self.eps_sq == 0.0:
-            raise ValueError("eps_sq must be > 0")
+        super().__post_init__()
         if self.constant_photons >= self.photon_levels:
             raise ValueError(f"constant_photons must be < photon_levels = {self.photon_levels}")
         if self.p_test + self.p_key > 1.0 + 1e-12:

@@ -11,10 +11,11 @@ bit), so every failure mode degrades to 1 rather than raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from bb84mm.detector_model import DeltaPair
-from bb84mm.stat_bounds import binomial_quantile, gamma_serf
+from bb84mm.stat_bounds import _Record, binomial_quantile, gamma_serf
 
 __all__ = [
     "PhaseErrorQuery",
@@ -25,7 +26,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PhaseErrorQuery:
+class PhaseErrorQuery(_Record):
     """Inputs of the mismatch phase-error bound.
 
     ``eps_a_sq`` pays for the Serfling step, ``eps_b_sq`` for transferring
@@ -41,13 +42,11 @@ class PhaseErrorQuery:
     eps_b_sq: float
     eps_c_sq: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.e_obs <= 1.0:
-            raise ValueError(f"e_obs must lie in [0, 1], got {self.e_obs}")
-        for name in ("eps_a_sq", "eps_b_sq", "eps_c_sq"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+    _FIELDS = {
+        "e_obs": (0.0, 1.0, float, "[]"), "n_test": (0, math.inf, int, "[]"),
+        "n_key": (0, math.inf, int, "[]"),
+        **dict.fromkeys(("eps_a_sq", "eps_b_sq", "eps_c_sq"), (0.0, 1.0, float, "()")),
+    }
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,16 @@ Three deviation terms drive every finite-size penalty in this package:
 All failure probabilities are passed *squared* (``eps_sq``): the security
 analysis consistently consumes squared epsilons, and taking them squared at
 the API boundary prevents silent double-squaring.
+
+``_Record`` is the base of every input record: one field checker run over
+the record's ``_FIELDS`` table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from scipy.special import betainc
 
@@ -31,6 +35,54 @@ __all__ = [
     "gamma_serf",
     "hoeffding_decoy_dev",
 ]
+
+
+def _checked_number(name: str, value, lo, hi, kind: type = float, ends: str = "[]"):
+    """``value`` if it is a finite real (an integer if ``kind`` is int,
+    never a bool) in the interval from lo to hi with the given ``ends``,
+    else a ValueError naming ``name``.  An integral float is taken as that
+    int, since JSON writes 1e12."""
+    # The common cases first, before the slow ABC test.
+    common = type(value) is float and kind is float or type(value) is int and -1e308 < value < 1e308
+    if common and lo < value < hi:
+        return value
+    try:
+        if (
+            not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+            and (lo < value if ends[0] == "(" else lo <= value)
+            and (value < hi if ends[1] == ")" else value <= hi)
+            and (kind is float or value == int(value))
+        ):
+            return value if kind is float or type(value) is int else int(value)
+    except OverflowError:  # an int beyond float range
+        pass
+    interval = f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}" if -math.inf < lo or hi < math.inf else ""
+    what = "number" if kind is float else "integer"
+    raise ValueError(f"{name} must be a finite {what}{interval}, got {value!r}")
+
+
+class _Record:
+    """Base of the frozen input records: ``__post_init__`` checks each field
+    of the class's ``_FIELDS`` table, name to (lo, hi, kind, ends), with
+    ``_checked_number`` and stores a converted value back.  A field of kind tuple
+    holds three reals, one per intensity (``name[i]`` in an error).  A
+    subclass adds its cross-field rules after ``super().__post_init__()``."""
+
+    def __post_init__(self) -> None:
+        for name, (lo, hi, kind, ends) in self._FIELDS.items():
+            value = getattr(self, name)
+            if kind is not tuple:
+                checked = _checked_number(name, value, lo, hi, kind, ends)
+            elif (type(value) is tuple or type(value) is list) and len(value) == 3:
+                checked = tuple(value)  # a tuple is returned as is
+                for i, entry in enumerate(checked):
+                    if not (type(entry) is float and lo < entry < hi):  # common; builds no name
+                        _checked_number(f"{name}[{i}]", entry, lo, hi, float, ends)
+            else:
+                raise ValueError(f"{name} must be 3 numbers, one per intensity, got {value!r}")
+            if checked is not value:
+                object.__setattr__(self, name, checked)
+
 
 def _tail_threshold(n: int, x: float) -> int:
     """Smallest integer count k with k >= n*x, guarding float round-off.
@@ -48,7 +100,7 @@ def _tail_threshold(n: int, x: float) -> int:
 
 
 @dataclass(frozen=True)
-class TailQuery:
+class TailQuery(_Record):
     """Arguments of the binomial tail function.
 
     ``n`` trials with per-trial probability ``delta``; the tail starts at
@@ -60,13 +112,7 @@ class TailQuery:
     delta: float
     c: float
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"c must lie in [0, 1], got {self.c}")
+    _FIELDS = {"n": (1, math.inf, int, "[]"), **dict.fromkeys(("delta", "c"), (0.0, 1.0, float, "[]"))}
 
 
 def binomial_tail(q: TailQuery) -> float:

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bb84mm import cli
 from bb84mm.channel_sim import ChannelSpec, expected_observations
@@ -444,6 +448,91 @@ def test_readme_config_runs_every_subcommand(tmp_path):
         assert run_cli("keyrate", "--config", c, "--observations", obs, "--out", out) == 0
     verify = ["--lemma", "serfling", "--trials", "1000", "--seed", "1"]
     assert run_cli("verify", "--config", c, *verify, "--out", out) == 0
+
+
+README_CONFIG = json.loads(
+    re.search(
+        r"A config covering every subcommand:\s*```json\n(.*?)```",
+        (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+        re.S,
+    ).group(1)
+)
+README_FIELDS = [f"{section}.{key}" for section, keys in README_CONFIG.items() for key in keys]
+# Each bad value as JSON text; None deletes the key.
+BAD_VALUES = {
+    "string": '"x"', "null": "null", "list": "[]", "object": "{}", "nan": "NaN",
+    "infinity": "Infinity", "-1": "-1", "0": "0", "1e308": "1e308", "10^400": "1" + "0" * 400,
+    "deleted": None,
+}
+PROBE_COMMANDS = {
+    "keyrate": ["keyrate"],
+    "delta": ["delta", "--nmax", "2"],
+    "simulate": ["simulate"],
+    "verify": ["verify", "--lemma", "serfling", "--trials", "1000", "--seed", "1"],
+}
+PYTHON_WORDS = ("not supported between", "has no len()", "positional argument", "must be real number")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(sorted(PROBE_COMMANDS)),
+    field=st.sampled_from(README_FIELDS),
+    bad=st.sampled_from(sorted(BAD_VALUES)),
+)
+def test_a_bad_value_runs_or_is_named(tmp_path_factory, command, field, bad):
+    # Every subcommand builds every section, so a value is valid or invalid
+    # for all alike; an invalid one exits 2 naming 'section.key' (or
+    # 'section.key[i]') in the library's words, never 3.
+    section, key = field.split(".")
+    cfg = json.loads(json.dumps(README_CONFIG))
+    if BAD_VALUES[bad] is None:
+        del cfg[section][key]
+        text = json.dumps(cfg)
+    else:
+        cfg[section][key] = "@bad@"
+        text = json.dumps(cfg).replace('"@bad@"', BAD_VALUES[bad])
+    path = tmp_path_factory.mktemp("bad") / "cfg.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(*PROBE_COMMANDS[command], "--config", str(path), "--out", str(path.with_suffix(".out")))
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert field in err.getvalue()
+        assert not any(words in err.getvalue() for words in PYTHON_WORDS), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["delta --nmax 2", "simulate", "verify --lemma serfling --trials 1000"])
+@pytest.mark.parametrize(
+    "section, value", [("epsilons", {"eps_pa": "x"}), ("channel", {"p_z_test": 7}), ("error_correction", {"f_ec": 0.5})]
+)
+def test_every_subcommand_checks_every_section(tmp_path, capsys, command, section, value):
+    # Each used to exit 0 under a subcommand that does not read the section.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with(section, **value)))
+    assert run_cli(*command.split(), "--config", str(path), "--out", str(tmp_path / "out")) == 2
+    assert f"{section}.{next(iter(value))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, at_bound, beyond, where",
+    [
+        ("channel", {"n_total": 10**24}, {"n_total": 10**24 + 1}, "channel.n_total"),
+        ("decoy", {"intensities": [100, 0.1, 0]}, {"intensities": [100.5, 0.1, 0]}, "decoy.intensities[0]"),
+    ],
+)
+def test_upper_bound_runs_every_subcommand(tmp_path, capsys, section, at_bound, beyond, where):
+    path, out, obs = tmp_path / "cfg.json", str(tmp_path / "out"), str(tmp_path / "obs.json")
+    path.write_text(json.dumps(_with(section, **at_bound)))
+    c = str(path)
+    assert run_cli("keyrate", "--config", c, "--out", out) == 0
+    assert run_cli("delta", "--config", c, "--nmax", "2", "--out", out) == 0
+    assert run_cli("simulate", "--config", c, "--out", obs) == 0
+    assert run_cli("decoy", "--config", c, "--observations", obs, "--out", out) == 0
+    assert run_cli("keyrate", "--config", c, "--observations", obs, "--out", out) == 0
+    path.write_text(json.dumps(_with(section, **beyond)))
+    assert run_cli("keyrate", "--config", c, "--out", out) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_console_entry_point(config_path):

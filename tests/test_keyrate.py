@@ -137,6 +137,24 @@ class TestKeyLengthSinglePhoton:
             >= key_length_single_photon(*args, tight).key_length
         )
 
+    @pytest.mark.parametrize(
+        "budget, f_ec, cost",
+        [
+            (BUDGET, 1e308, math.inf),
+            (EpsilonBudget(eps_pa=1e-320), 1.16, 2 * math.log2(1e-12 / 1e-320)),
+            (EpsilonBudget(eps_ev=1e-320), 1.16, math.log2(1e-12 / 1e-320)),
+        ],
+        ids=["f_ec-1e308", "eps_pa-1e-320", "eps_ev-1e-320"],
+    )
+    def test_extreme_in_range_inputs_decide(self, budget, f_ec, cost):
+        # lambda_ec overflows to inf at f_ec = 1e308, and 1 / (2 eps) at
+        # eps = 1e-320; each costs its bits, and an infinite cost leaves 0.
+        args = (0.01, 1000, 10**6, 0.02, DeltaPair.zero())
+        base = key_length_single_photon(*args, BUDGET).key_length
+        out = key_length_single_photon(*args, budget, f_ec=f_ec)
+        assert out.feasible
+        assert abs(out.key_length - max(0.0, base - cost)) <= 1
+
     def test_zero_counts(self):
         out = key_length_single_photon(0.0, 0, 10**6, 0.0, DeltaPair.zero(), BUDGET)
         assert out.key_length == 0

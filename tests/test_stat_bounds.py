@@ -5,6 +5,7 @@ file (exact rational summation for small n, log-space summation up to 1e5)
 and only then compared against the production path.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,8 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bb84mm.channel_sim import ChannelSpec
+from bb84mm.decoy import DecoyConfig, Observations, OutcomeCounts
+from bb84mm.detector_model import DeltaPair, DetectorSpec
+from bb84mm.keyrate import EpsilonBudget
+from bb84mm.mc_verify import TrialConfig
+from bb84mm.phase_error import PhaseErrorQuery
 from bb84mm.stat_bounds import (
     TailQuery,
+    _checked_number,
+    _Record,
     _tail_at_count,
     binomial_tail,
     f_serf,
@@ -255,3 +264,57 @@ class TestHoeffdingDecoyDev:
 
 def test_f_serf_matches_definition():
     assert f_serf(10**5, 10**5) == pytest.approx(1e15 / (2e5 * 100001), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "value, kind, ends, expect",
+    [
+        (0.5, float, "()", 0.5),
+        (1, float, "[]", 1),
+        (np.float64(0.5), float, "[]", np.float64(0.5)),
+        (1e12, int, "[]", 10**12),
+        (np.int64(7), int, "[]", 7),
+        (0.0, float, "(]", None),
+        (1.0, float, "[)", None),
+        (2.5, int, "[]", None),
+        (True, float, "[]", None),
+        (False, int, "[]", None),
+        ("0.5", float, "[]", None),
+        (math.nan, float, "[]", None),
+        (10**400, int, "[]", None),
+    ],
+)
+def test_checked_number(value, kind, ends, expect):
+    # Over [0, inf) for integers, [0, 1] otherwise; None: rejected by name.
+    hi = math.inf if kind is int else 1.0
+    if expect is None:
+        with pytest.raises(ValueError, match="^x must be a finite"):
+            _checked_number("x", value, 0.0, hi, kind, ends)
+    else:
+        got = _checked_number("x", value, 0.0, hi, kind, ends)
+        assert got == expect and type(got) is type(expect)
+
+
+# Fields no table row covers: a nested record, which checks itself, or a
+# rule of its own in the record's __post_init__.
+NESTED = {(ChannelSpec, "detector"): DetectorSpec, (PhaseErrorQuery, "deltas"): DeltaPair}
+OWN_RULE = {(TrialConfig, "profile")}  # one of PROFILES
+
+
+RECORDS = [DetectorSpec, DeltaPair, ChannelSpec, DecoyConfig, OutcomeCounts, Observations,
+           EpsilonBudget, PhaseErrorQuery, TailQuery, TrialConfig]
+
+
+def test_every_input_record_has_a_table():
+    assert set(_Record.__subclasses__()) == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_field_is_checked(cls):
+    rows = set(cls._FIELDS)
+    for f in dataclasses.fields(cls):
+        if (cls, f.name) in NESTED:
+            assert f.name not in rows and hasattr(NESTED[cls, f.name], "_FIELDS")
+        else:
+            assert f.name in rows or (cls, f.name) in OWN_RULE, f.name
+    assert rows <= {f.name for f in dataclasses.fields(cls)}
