@@ -514,6 +514,14 @@ def test_every_subcommand_checks_every_section(tmp_path, capsys, command, sectio
     assert f"{section}.{next(iter(value))}" in capsys.readouterr().err
 
 
+def test_a_channel_needs_a_detector(tmp_path, capsys):
+    # verify reads neither section, and used to exit 0.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items() if k != "detector"}))
+    assert run_cli("verify", "--lemma", "serfling", "--trials", "1000", "--config", str(path)) == 2
+    assert "'detector'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "section, at_bound, beyond, where",
     [
