@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from bb84mm.decoy import DecoyConfig, Observations, photon_given_intensity
+from bb84mm.decoy import DecoyConfig, Observations, _poisson
 from bb84mm.detector_model import DetectorSpec
-from bb84mm.stat_bounds import _Record
+from bb84mm.stat_bounds import _checked_number, _Record
 
 __all__ = [
     "ChannelSpec",
@@ -188,9 +188,7 @@ def _photon_pmf(cfg: DecoyConfig) -> np.ndarray:
             f"intensities must put at most {MAX_TAIL:g} Poisson mass above "
             f"{PHOTON_CUTOFF} photons, got {cfg.intensities}"
         )
-    pmf = np.array(
-        [[photon_given_intensity(m, mu) for m in range(PHOTON_CUTOFF + 1)] for mu in cfg.intensities]
-    )
+    pmf = np.array([[_poisson(m, mu) for m in range(PHOTON_CUTOFF + 1)] for mu in cfg.intensities])
     pmf[:, -1] += np.maximum(0.0, 1.0 - pmf.sum(axis=1))
     return pmf
 
@@ -212,10 +210,9 @@ def sample_observations(
     mass there than MAX_TAIL are rejected.  With ``with_tags`` the true
     per-photon-number counts of the X, X-error and key classes are returned
     alongside (unobservable in a real run; the decoy validation tests need
-    them).  ``seed`` must be >= 0.
+    them).  ``seed`` must be an integer >= 0.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _checked_number("seed", seed, 0, math.inf, int)
     if ch.n_total > np.iinfo(np.int64).max:
         raise ValueError(f"n_total must be at most {np.iinfo(np.int64).max} to sample, got {ch.n_total}")
     pmf = _photon_pmf(cfg)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bb84mm.stat_bounds import _Record, hoeffding_decoy_dev
+from bb84mm.stat_bounds import _checked_number, _Record, hoeffding_decoy_dev
 
 __all__ = [
     "DecoyConfig",
@@ -127,23 +127,24 @@ class Observations(_Record):
         return OutcomeCounts(tuple(self.n_k))
 
 
-def photon_given_intensity(m: int, mu: float) -> float:
-    """Poisson mass p(m | mu) = exp(-mu) mu^m / m!."""
-    if m < 0:
-        raise ValueError(f"photon number must be >= 0, got {m}")
-    if mu < 0:
-        raise ValueError(f"intensity must be >= 0, got {mu}")
+def _poisson(m: int, mu: float) -> float:
+    """``photon_given_intensity`` without the argument checks, for callers
+    whose m and mu are already checked."""
     if mu == 0.0:
         return 1.0 if m == 0 else 0.0
     return math.exp(m * math.log(mu) - mu - math.lgamma(m + 1))
 
 
+def photon_given_intensity(m: int, mu: float) -> float:
+    """Poisson mass p(m | mu) = exp(-mu) mu^m / m!."""
+    m = _checked_number("m", m, 0, math.inf, int)
+    return _poisson(m, _checked_number("mu", mu, 0.0, math.inf))
+
+
 def tau(m: int, cfg: DecoyConfig) -> float:
     """Unconditional probability of an m-photon emission under cfg."""
-    return sum(
-        p * photon_given_intensity(m, mu)
-        for p, mu in zip(cfg.probabilities, cfg.intensities)
-    )
+    m = _checked_number("m", m, 0, math.inf, int)
+    return sum(p * _poisson(m, mu) for p, mu in zip(cfg.probabilities, cfg.intensities))
 
 
 def intensity_given_photon(m: int, cfg: DecoyConfig) -> np.ndarray:
@@ -152,9 +153,8 @@ def intensity_given_photon(m: int, cfg: DecoyConfig) -> np.ndarray:
     Only needed by the Monte Carlo validator; the analytic bounds absorb
     these probabilities.
     """
-    w = np.array(
-        [p * photon_given_intensity(m, mu) for p, mu in zip(cfg.probabilities, cfg.intensities)]
-    )
+    m = _checked_number("m", m, 0, math.inf, int)
+    w = np.array([p * _poisson(m, mu) for p, mu in zip(cfg.probabilities, cfg.intensities)])
     t = w.sum()
     if t <= 0.0:
         raise ValueError(f"no intensity can emit {m} photons under {cfg}")

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bb84mm.stat_bounds import _Record
+from bb84mm.stat_bounds import _checked_number, _checked_probabilities, _Record
 
 __all__ = [
     "DetectorSpec",
@@ -195,8 +195,7 @@ def mode_rotation_unitary(n: int) -> np.ndarray:
     sign makes its last entry, sqrt(C(n, k) / 2^n), positive; the
     single-photon block is [[1, -1], [1, 1]] / sqrt2.
     """
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
+    n = _checked_number("n", n, 0, MAX_BLOCK_PHOTONS, int)
     i = np.arange(1, n + 1)
     hop = -0.5 * np.sqrt(i * (n - i + 1.0))
     number = np.diag(np.full(n + 1, 0.5 * n)) + np.diag(hop, 1) + np.diag(hop, -1)
@@ -213,16 +212,12 @@ def _pinv(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(1.0, w, out=np.zeros_like(w), where=support), ~support
 
 
-def _checked(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
-    """``eta``/``dc`` as float arrays, once N and every entry are in range."""
+def _checked(n: int, eta, dc) -> tuple[int, np.ndarray, np.ndarray]:
+    """N as an int and ``eta``/``dc`` as float arrays, once all are in range."""
+    n = _checked_number("n", n, 0, math.inf, int)
     if n > MAX_BLOCK_PHOTONS:
-        raise ValueError(f"photon block N={n} exceeds the cutoff {MAX_BLOCK_PHOTONS}")
-    eta = np.asarray(eta, dtype=float)
-    dc = np.asarray(dc, dtype=float)
-    # NaN fails both comparisons, so it is rejected too.
-    if not (np.all((eta >= 0.0) & (eta <= 1.0)) and np.all((dc >= 0.0) & (dc <= 1.0))):
-        raise ValueError("efficiencies and dark-count rates must lie in [0, 1]")
-    return eta, dc
+        raise ValueError(f"n must be at most the photon cutoff {MAX_BLOCK_PHOTONS}, got {n}")
+    return n, _checked_probabilities("eta", eta), _checked_probabilities("dc", dc)
 
 
 def _common_filter(n: int, eta: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -263,13 +258,13 @@ def _residual_filter(conclusive: np.ndarray, f_n: np.ndarray) -> np.ndarray:
 def _block_spectra(n: int, eta, dc) -> dict[str, np.ndarray]:
     """Eigenvalues of every operator of the N-photon block.
 
-    ``eta``/``dc`` order the four detectors as (Z0, Z1, X0, X1) along their
-    last axis; any leading axes (box points) are batched.  Each spectrum has
-    the batch shape plus (2(N+1),), indexed by Alice's bit (outer) and Bob's
-    photons in mode 1 (inner) of the operator's eigenbasis: the Fock basis
-    for ``*_Z`` and ``common_filter``, kron(H, R) for ``*_X``.
+    ``eta``/``dc``, as ``_checked`` returns them, order the four detectors
+    as (Z0, Z1, X0, X1) along their last axis; any leading axes (box
+    points) are batched.  Each spectrum has the batch shape plus (2(N+1),),
+    indexed by Alice's bit (outer) and Bob's photons in mode 1 (inner) of
+    the operator's eigenbasis: the Fock basis for ``*_Z`` and
+    ``common_filter``, kron(H, R) for ``*_X``.
     """
-    eta, dc = _checked(n, eta, dc)
     f_n = _common_filter(n, eta, dc)
     common = np.repeat(f_n[..., None], 2 * (n + 1), axis=-1)
     spectra = {"common_filter": common}
@@ -330,6 +325,7 @@ def build_block_povm(
     but the X error after the Z filter is the dense outcome_error_X between
     the filter's square roots.
     """
+    n, eta, dc = _checked(n, eta, dc)
     spectra = _block_spectra(n, eta, dc)
     rot = mode_rotation_unitary(n)
     # kron(H, R): the common eigenbasis of the X-basis operators.
@@ -352,6 +348,7 @@ def build_block_povms(
     dc: tuple[float, float, float, float],
 ) -> list[PovmBlock]:
     """Blocks for every total photon number N = 0..n_max."""
+    n_max = _checked_number("n_max", n_max, 0, MAX_BLOCK_PHOTONS, int)
     return [build_block_povm(n, eta, dc) for n in range(n_max + 1)]
 
 
@@ -368,7 +365,7 @@ def block_deltas(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
     R diag(r g_a) R^T, S = diag(sqrt(s)), so it is twice the largest
     eigenvalue magnitude of either half, from one batched ``eigvalsh``.
     """
-    eta, dc = _checked(n, eta, dc)
+    n, eta, dc = _checked(n, eta, dc)
     f_n = _common_filter(n, eta, dc)
     z0, z1 = _silences(n, eta, dc, 0)
     x0, x1 = _silences(n, eta, dc, 2)
@@ -446,12 +443,9 @@ def oracle_deltas(
     thread).  ``n_max`` must lie in [1, MAX_BLOCK_PHOTONS], ``seed`` be
     >= 0 and ``interior_samples`` be an integer >= 0 (0: corners only).
     """
-    if not 1 <= n_max <= MAX_BLOCK_PHOTONS:
-        raise ValueError(f"n_max must lie in [1, {MAX_BLOCK_PHOTONS}], got {n_max}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if not isinstance(interior_samples, (int, np.integer)) or interior_samples < 0:
-        raise ValueError(f"interior_samples must be an integer >= 0, got {interior_samples!r}")
+    n_max = _checked_number("n_max", n_max, 1, MAX_BLOCK_PHOTONS, int)
+    interior_samples = _checked_number("interior_samples", interior_samples, 0, math.inf, int)
+    seed = _checked_number("seed", seed, 0, math.inf, int)
     eta, dc = _orbit_rows(_box_points(spec, interior_samples, seed))
     best1 = best2 = 0.0
     for n in range(n_max + 1):

@@ -32,8 +32,7 @@ DEFAULT_EC_EFFICIENCY = 1.16
 
 def binary_entropy(x: float) -> float:
     """Binary entropy in bits for x <= 1/2; saturates at 1 beyond."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument must lie in [0, 1], got {x}")
+    _checked_number("x", x, 0.0, 1.0)
     if x > 0.5:
         return 1.0
     if x == 0.0:
@@ -48,6 +47,8 @@ def _ec_efficiency(f_ec: float = DEFAULT_EC_EFFICIENCY) -> float:
 
 def lambda_ec_default(n_key: float, e_z: float, f_ec: float = DEFAULT_EC_EFFICIENCY) -> float:
     """Error-correction allowance f_ec * n_key * h(e_z)."""
+    _checked_number("n_key", n_key, 0.0, math.inf)
+    _checked_number("e_z", e_z, 0.0, 1.0)
     return float(_ec_efficiency(f_ec) * n_key * binary_entropy(e_z))
 
 
@@ -115,30 +116,21 @@ class KeyDecision:
             raise ValueError("infeasible decisions must carry key_length 0")
 
 
-def _decide(
-    key_bits: float,
-    e_obs: float,
-    n_test: int,
-    n_key: int,
-    deltas: DeltaPair,
-    budget: EpsilonBudget,
-    lam: float,
-) -> KeyDecision:
+def _query(
+    e_obs: float, n_test: int, n_key: int, deltas: DeltaPair, budget: EpsilonBudget
+) -> PhaseErrorQuery:
+    """The checked phase-error query of a decision: the budget's sampling
+    epsilons enter squared."""
+    eps = (budget.eps_at_a**2, budget.eps_at_b**2, budget.eps_at_c**2)
+    return PhaseErrorQuery(e_obs, n_test, n_key, deltas, *eps)
+
+
+def _decide(key_bits: float, q: PhaseErrorQuery, budget: EpsilonBudget, lam: float) -> KeyDecision:
     """l = max(0, floor(key_bits (1 - h(B)) - lambda_ec - 2 log2(1/(2 eps_pa))
-    - log2(2/eps_ev))), with B the mismatch phase-error bound; each penalty
-    is finite for every epsilon in (0, 1), and an overflowed lambda_ec gives 0."""
-    b = bound_mismatch(
-        PhaseErrorQuery(
-            e_obs=e_obs,
-            n_test=n_test,
-            n_key=n_key,
-            deltas=deltas,
-            eps_a_sq=budget.eps_at_a**2,
-            eps_b_sq=budget.eps_at_b**2,
-            eps_c_sq=budget.eps_at_c**2,
-        )
-    )
-    phase_bound = float(b.value)
+    - log2(2/eps_ev))), with B the mismatch phase-error bound of ``q``; each
+    penalty is finite for every epsilon in (0, 1), and an overflowed
+    lambda_ec gives 0."""
+    phase_bound = float(bound_mismatch(q).value)
     hash_penalties = -2.0 * math.log2(2.0 * budget.eps_pa) + 1.0 - math.log2(budget.eps_ev)
     raw = key_bits * (1.0 - binary_entropy(phase_bound)) - lam - hash_penalties
     return KeyDecision(math.floor(raw) if raw >= 1.0 else 0, lam, phase_bound, feasible=True)
@@ -155,10 +147,11 @@ def key_length_single_photon(
 ) -> KeyDecision:
     """Key length for the single-photon-source protocol: every key round
     counts, key_bits = n_key."""
-    lam = lambda_ec_default(n_key, e_z, f_ec)
-    if n_test < 1 or n_key < 1:
+    q = _query(e_obs, n_test, n_key, deltas, budget)
+    lam = lambda_ec_default(q.n_key, e_z, f_ec)
+    if q.n_test < 1 or q.n_key < 1:
         return KeyDecision(0, lam, 1.0, feasible=False)
-    return _decide(n_key, e_obs, n_test, n_key, deltas, budget, lam)
+    return _decide(q.n_key, q, budget, lam)
 
 
 def key_length_decoy(
@@ -191,6 +184,5 @@ def key_length_decoy(
     ):
         return KeyDecision(0, lam, 1.0, feasible=False)
     e1_upper = min(1.0, err_upper / test_lower)
-    return _decide(
-        key_lower, e1_upper, math.floor(test_lower), math.floor(key_lower), deltas, budget, lam
-    )
+    q = _query(e1_upper, math.floor(test_lower), math.floor(key_lower), deltas, budget)
+    return _decide(key_lower, q, budget, lam)

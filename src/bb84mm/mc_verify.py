@@ -41,6 +41,8 @@ import numpy as np
 from bb84mm.decoy import DecoyConfig, intensity_given_photon
 from bb84mm.stat_bounds import (
     TailQuery,
+    _checked_number,
+    _checked_probabilities,
     _Record,
     _tail_threshold,
     binomial_tail,
@@ -173,9 +175,9 @@ def poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
     above it, each product is one ``np.convolve``.  Every term is a
     product of nonnegative numbers, so nothing cancels and small tails
     keep their relative accuracy (an FFT would not: its absolute error
-    near 1e-16 swamps them).
+    near 1e-16 swamps them).  Every entry of ``p`` must lie in [0, 1].
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = _checked_probabilities("p", p)
     n = p.size
     polys = np.zeros((1 << (max(n, 1) - 1).bit_length(), 2))
     polys[:, 0] = 1.0
@@ -382,10 +384,7 @@ def verify_freq_transfer(cfg: TrialConfig) -> VerifierReport:
     not conservative.  A row passes only if its exact sides (``exact_left``,
     ``exact_right``) satisfy the inequality too.
     """
-    if cfg.base_rate < MIN_TRANSFER_RATE:
-        raise ValueError(
-            f"base_rate must be >= {MIN_TRANSFER_RATE} for the transfer lemma, got {cfg.base_rate!r}"
-        )
+    _checked_number("base_rate", cfg.base_rate, MIN_TRANSFER_RATE, 1.0)
     rng = _rng(cfg, "transfer")
     half_width = min(cfg.base_rate - MIN_TRANSFER_RATE, 0.05)
     p = np.clip(rng.uniform(cfg.base_rate - half_width, cfg.base_rate + half_width, cfg.n), 0.0, 1.0)

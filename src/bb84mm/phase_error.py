@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from bb84mm.detector_model import DeltaPair
-from bb84mm.stat_bounds import _Record, binomial_quantile, gamma_serf
+from bb84mm.stat_bounds import _checked_number, _Record, binomial_quantile, gamma_serf
 
 __all__ = [
     "PhaseErrorQuery",
@@ -59,6 +59,11 @@ class MismatchBound:
 
 def bound_perfect(e_obs: float, n_test: int, n_key: int, eps_sq: float) -> float:
     """Phase-error bound under basis-independent loss: e_obs + gamma_serf."""
+    rows = PhaseErrorQuery._FIELDS
+    _checked_number("e_obs", e_obs, *rows["e_obs"])
+    _checked_number("n_test", n_test, *rows["n_test"])
+    _checked_number("n_key", n_key, *rows["n_key"])
+    _checked_number("eps_sq", eps_sq, 0.0, 1.0, float, "(]")
     if n_test < 1 or n_key < 1:
         return 1.0
     return min(1.0, e_obs + gamma_serf(n_test, n_key, eps_sq))

@@ -15,8 +15,9 @@ All failure probabilities are passed *squared* (``eps_sq``): the security
 analysis consistently consumes squared epsilons, and taking them squared at
 the API boundary prevents silent double-squaring.
 
-``_Record`` is the base of every input record: one field checker run over
-the record's ``_FIELDS`` table.
+``_checked_number`` is the one check of a scalar input: every field of
+every input record (``_Record`` runs it over the record's ``_FIELDS``
+table) and every scalar argument of every public function.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
+import numpy as np
 from scipy.special import betainc
 
 __all__ = [
@@ -42,9 +44,14 @@ def _checked_number(name: str, value, lo, hi, kind: type = float, ends: str = "[
     never a bool) in the interval from lo to hi with the given ``ends``,
     else a ValueError naming ``name``.  An integral float is taken as that
     int, since JSON writes 1e12."""
-    # The common cases first, before the slow ABC test.
+    # The common cases first, before the slow ABC test: a plain float or
+    # int inside the range or on a finite closed end of it.
     common = type(value) is float and kind is float or type(value) is int and -1e308 < value < 1e308
-    if common and lo < value < hi:
+    if common and (
+        lo < value < hi
+        or value == lo > -math.inf and ends[0] == "["
+        or value == hi < math.inf and ends[1] == "]"
+    ):
         return value
     try:
         if (
@@ -59,6 +66,18 @@ def _checked_number(name: str, value, lo, hi, kind: type = float, ends: str = "[
     interval = f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}" if -math.inf < lo or hi < math.inf else ""
     what = "number" if kind is float else "integer"
     raise ValueError(f"{name} must be a finite {what}{interval}, got {value!r}")
+
+
+def _checked_probabilities(name: str, values) -> np.ndarray:
+    """``values`` as a float array if every entry lies in [0, 1], else the
+    ``_checked_number`` error of the first entry that does not, named by
+    its index."""
+    arr = np.asarray(values, dtype=float)
+    ok = (arr >= 0.0) & (arr <= 1.0)  # NaN fails both
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), arr.shape)
+        _checked_number(f"{name}[{', '.join(map(str, i))}]", arr[i].item(), 0.0, 1.0)
+    return arr
 
 
 class _Record:
@@ -147,12 +166,9 @@ def binomial_quantile(n: int, delta: float, eps_sq: float) -> float:
     P[X >= n + 1] = 0.  For delta = 0 the tail vanishes at every positive
     frequency and the quantile is defined as exactly 0.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if not 0.0 < eps_sq < 1.0:
-        raise ValueError(f"eps_sq must lie in (0, 1), got {eps_sq}")
+    _checked_number("n", n, 1, math.inf, int)
+    _checked_number("delta", delta, 0.0, 1.0)
+    _checked_number("eps_sq", eps_sq, 0.0, 1.0, float, "()")
     if delta == 0.0:
         return 0.0
     lo, hi = 0, n + 1
@@ -197,13 +213,9 @@ def gamma_serf(n_test: int, n_key: int, eps_sq: float) -> float:
     Closed form sqrt(ln(1/eps_sq) / f_serf(n_test, n_key)).  Raises on zero
     counts; callers must map that case to a zero-length key.
     """
-    if n_test < 1 or n_key < 1:
-        raise ValueError(
-            f"degenerate sample sizes (n_test={n_test}, n_key={n_key}); "
-            "no finite deviation exists"
-        )
-    if not 0.0 < eps_sq <= 1.0:
-        raise ValueError(f"eps_sq must lie in (0, 1], got {eps_sq}")
+    _checked_number("n_test", n_test, 1, math.inf, int)
+    _checked_number("n_key", n_key, 1, math.inf, int)
+    _checked_number("eps_sq", eps_sq, 0.0, 1.0, float, "(]")
     return math.sqrt(math.log(1.0 / eps_sq) / f_serf(n_test, n_key))
 
 
@@ -214,8 +226,6 @@ def hoeffding_decoy_dev(n_outcome: float, eps_sq: float) -> float:
     conditioning on the photon-number sequence makes the per-round intensity
     draws independent, which is what licenses plain Hoeffding here.
     """
-    if n_outcome < 0:
-        raise ValueError(f"n_outcome must be >= 0, got {n_outcome}")
-    if not 0.0 < eps_sq < 2.0:
-        raise ValueError(f"eps_sq must lie in (0, 2), got {eps_sq}")
+    _checked_number("n_outcome", n_outcome, 0.0, math.inf)
+    _checked_number("eps_sq", eps_sq, 0.0, 2.0, float, "()")
     return math.sqrt(0.5 * n_outcome * math.log(2.0 / eps_sq))

@@ -252,7 +252,7 @@ BOUNDARY_CASES = {
     "simulate-epsilons.eps_p": ("simulate", _with("epsilons", eps_p=1e-12), None, "epsilons.eps_p"),
     "keyrate-verify.trails": ("keyrate", _with("verify", trails=1000), None, "verify.trails"),
     "verify-channel.p_ztest": ("verify", _with("channel", p_ztest=0.05), None, "channel.p_ztest"),
-    "simulate-seed--1": ("simulate --seed -1", BASE_CONFIG, None, "seed must be >= 0"),
+    "simulate-seed--1": ("simulate --seed -1", BASE_CONFIG, None, "seed must be a finite integer in [0, inf], got -1"),
     **{
         f"keyrate-{name}-1e-200": ("keyrate", _with("epsilons", **{name: 1e-200}), None, name)
         for name in ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d")

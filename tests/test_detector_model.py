@@ -239,6 +239,15 @@ class TestBlockStructure:
         with pytest.raises(ValueError, match="cutoff"):
             build_block_povm(100, (0.7,) * 4, (1e-6,) * 4)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("name", ["eta", "dc"])
+    def test_names_the_array_with_an_entry_out_of_range(self, name, bad):
+        box = {"eta": np.full((3, 4), 0.7), "dc": np.full((3, 4), 1e-6)}
+        box[name][1, 2] = bad
+        for build in (build_block_povm, block_deltas):
+            with pytest.raises(ValueError, match=rf"^{name}\[1, 2\] must be a finite number"):
+                build(1, **box)
+
 
 class TestOracleDeltas:
     def test_zero_tolerance_is_zero(self):

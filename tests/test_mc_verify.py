@@ -147,6 +147,13 @@ class TestKernels:
         assert math.isclose(pmf @ np.arange(len(p) + 1), sum(p), abs_tol=1e-12)
         assert np.allclose(pmf, _enumerated_pmf(p), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "p, index", [([1.5], 0), ([math.nan, 0.2], 0), ([0.2, -0.1], 1), ([0.5, math.inf], 1)]
+    )
+    def test_pmf_rejects_an_entry_outside_0_1(self, p, index):
+        with pytest.raises(ValueError, match=rf"^p\[{index}\] must be a finite number in \[0, 1\]"):
+            poisson_binomial_pmf(p)
+
     @settings(max_examples=40)
     @given(
         st.one_of(st.integers(0, 3000), st.sampled_from(_POW2_SIZES)),

@@ -6,7 +6,9 @@ and only then compared against the production path.
 """
 
 import dataclasses
+import inspect
 import math
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -14,17 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bb84mm.channel_sim import ChannelSpec
+from bb84mm import channel_sim, decoy, detector_model, keyrate, mc_verify, phase_error, stat_bounds
+from bb84mm.channel_sim import ChannelSpec, PhotonTags, expected_observations
 from bb84mm.decoy import DecoyConfig, Observations, OutcomeCounts
-from bb84mm.detector_model import DeltaPair, DetectorSpec
-from bb84mm.keyrate import EpsilonBudget
-from bb84mm.mc_verify import TrialConfig
-from bb84mm.phase_error import PhaseErrorQuery
+from bb84mm.detector_model import MAX_BLOCK_PHOTONS, DeltaPair, DetectorSpec, PovmBlock
+from bb84mm.keyrate import EpsilonBudget, KeyDecision
+from bb84mm.mc_verify import TrialConfig, VerifierReport
+from bb84mm.phase_error import MismatchBound, PhaseErrorQuery
 from bb84mm.stat_bounds import (
     TailQuery,
     _checked_number,
     _Record,
     _tail_at_count,
+    binomial_quantile,
     binomial_tail,
     f_serf,
     gamma_bin,
@@ -274,6 +278,8 @@ def test_f_serf_matches_definition():
         (np.float64(0.5), float, "[]", np.float64(0.5)),
         (1e12, int, "[]", 10**12),
         (np.int64(7), int, "[]", 7),
+        (0.0, float, "[]", 0.0),
+        (0, int, "[]", 0),
         (0.0, float, "(]", None),
         (1.0, float, "[)", None),
         (2.5, int, "[]", None),
@@ -318,3 +324,122 @@ def test_every_record_field_is_checked(cls):
         else:
             assert f.name in rows or (cls, f.name) in OWN_RULE, f.name
     assert rows <= {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("value, lo", [(math.inf, 0.0), (-math.inf, -math.inf)])
+def test_checked_number_never_takes_an_infinite_end(value, lo):
+    # The fast path accepts a value on a closed end only when that end is finite.
+    with pytest.raises(ValueError, match="^x must be a finite"):
+        _checked_number("x", value, lo, math.inf)
+
+
+# Every scalar argument of every public function: the function, a valid
+# call, and each scalar argument's (lo, hi, kind, ends) range.
+COUNT = (0, math.inf, int, "[]")
+POSITIVE = (1, math.inf, int, "[]")
+UNIT = (0.0, 1.0, float, "[]")
+EPS = (0.0, 1.0, float, "()")
+EPS_CLOSED = (0.0, 1.0, float, "(]")
+EPS_DECOY = (0.0, 2.0, float, "()")  # the two-sided Hoeffding deviation's range
+F_EC = (1.0, math.inf, float, "[)")
+BLOCK = (0, MAX_BLOCK_PHOTONS, int, "[]")
+_CFG = DecoyConfig.reference()
+_COUNTS = OutcomeCounts((1e4, 1e3, 10.0))
+_BOX = {"eta": (0.7,) * 4, "dc": (1e-6,) * 4}
+_DECISION = {"deltas": DeltaPair(0.01, 0.005), "budget": EpsilonBudget()}
+_CHANNEL = ChannelSpec.reference(10.0, n_total=10**4)
+ARGUMENTS = [
+    (binomial_quantile, {"n": 100, "delta": 0.1, "eps_sq": 1e-10},
+     {"n": POSITIVE, "delta": UNIT, "eps_sq": EPS}),
+    (gamma_bin, {"n": 100, "delta": 0.1, "eps_sq": 1e-10},
+     {"n": POSITIVE, "delta": UNIT, "eps_sq": EPS}),
+    (gamma_serf, {"n_test": 10, "n_key": 10, "eps_sq": 1e-10},
+     {"n_test": POSITIVE, "n_key": POSITIVE, "eps_sq": EPS_CLOSED}),
+    (hoeffding_decoy_dev, {"n_outcome": 10.0, "eps_sq": 1e-10},
+     {"n_outcome": (0.0, math.inf, float, "[]"), "eps_sq": EPS_DECOY}),
+    (decoy.photon_given_intensity, {"m": 1, "mu": 0.5},
+     {"m": COUNT, "mu": (0.0, math.inf, float, "[]")}),
+    (decoy.tau, {"m": 1, "cfg": _CFG}, {"m": COUNT}),
+    (decoy.intensity_given_photon, {"m": 1, "cfg": _CFG}, {"m": COUNT}),
+    *((f, {"counts": _COUNTS, "cfg": _CFG, "eps_sq": 1e-10}, {"eps_sq": EPS_DECOY})
+      for f in (decoy.shifted_counts, decoy.decoy_bounds, decoy.bound_vacuum_lower,
+                decoy.bound_single_lower, decoy.bound_single_upper)),
+    (keyrate.binary_entropy, {"x": 0.1}, {"x": UNIT}),
+    (keyrate.lambda_ec_default, {"n_key": 100.0, "e_z": 0.1, "f_ec": 1.16},
+     {"n_key": (0.0, math.inf, float, "[]"), "e_z": UNIT, "f_ec": F_EC}),
+    (keyrate.key_length_single_photon,
+     {"e_obs": 0.02, "n_test": 10**4, "n_key": 10**5, "e_z": 0.02, **_DECISION},
+     {"e_obs": UNIT, "n_test": COUNT, "n_key": COUNT, "e_z": UNIT, "f_ec": F_EC}),
+    (keyrate.key_length_decoy,
+     {"obs": expected_observations(ChannelSpec.reference(10.0), _CFG), "cfg": _CFG, **_DECISION},
+     {"f_ec": F_EC}),
+    (phase_error.bound_perfect, {"e_obs": 0.02, "n_test": 100, "n_key": 100, "eps_sq": 1e-10},
+     {"e_obs": UNIT, "n_test": COUNT, "n_key": COUNT, "eps_sq": EPS_CLOSED}),
+    (detector_model.mode_rotation_unitary, {"n": 2}, {"n": BLOCK}),
+    (detector_model.build_block_povm, {"n": 1, **_BOX}, {"n": BLOCK}),
+    (detector_model.build_block_povms, {"n_max": 1, **_BOX}, {"n_max": BLOCK}),
+    (detector_model.block_deltas, {"n": 1, **_BOX}, {"n": BLOCK}),
+    (detector_model.oracle_deltas,
+     {"spec": DetectorSpec(0.7, 1e-6, 0.01, 0.01), "n_max": 1, "interior_samples": 0, "seed": 0},
+     {"n_max": (1, MAX_BLOCK_PHOTONS, int, "[]"), "interior_samples": COUNT, "seed": COUNT}),
+    (channel_sim.sample_observations, {"ch": _CHANNEL, "cfg": _CFG, "seed": 0}, {"seed": COUNT}),
+]
+SCALAR_ARGUMENTS = [
+    (f, call, name, bounds) for f, call, rows in ARGUMENTS for name, bounds in rows.items()
+]
+# Public names that are results the library builds, not inputs, and the
+# arguments that are arrays or flags rather than scalars or records.
+RESULTS = {KeyDecision, MismatchBound, PhotonTags, PovmBlock, VerifierReport}
+NOT_SCALAR = {
+    *((f, name) for f in (detector_model.build_block_povm, detector_model.build_block_povms,
+                          detector_model.block_deltas) for name in ("eta", "dc")),
+    (mc_verify.poisson_binomial_pmf, "p"),
+    (channel_sim.sample_observations, "with_tags"),
+}
+
+
+def _bad_values(lo, hi, kind, ends):
+    """NaN, both infinities, a bool, a fraction for an integer argument and
+    the nearest values outside each finite end."""
+    bad = [math.nan, math.inf, -math.inf, True]
+    if kind is int:
+        bad.append(lo + 0.5)
+    for end, closed, step in ((lo, ends[0] == "[", -1), (hi, ends[1] == "]", 1)):
+        if math.isfinite(end):
+            outside = end + step if kind is int else math.nextafter(end, step * math.inf)
+            bad.append(outside if closed else end)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "func, call, name, bounds", SCALAR_ARGUMENTS,
+    ids=[f"{f.__name__}-{name}" for f, _, name, _ in SCALAR_ARGUMENTS],
+)
+def test_every_public_scalar_argument_is_checked(func, call, name, bounds):
+    func(**call)
+    for bad in _bad_values(*bounds):
+        try:
+            func(**{**call, name: bad})
+        except ValueError as exc:
+            assert str(exc).startswith(f"{name} "), (bad, str(exc))
+        else:
+            pytest.fail(f"{func.__name__}({name}={bad!r}) was accepted")
+
+
+def test_every_public_argument_is_in_the_table():
+    # Each argument of a public function is a record (which checks itself),
+    # a row of ARGUMENTS, or an array or flag named in NOT_SCALAR.
+    table = {(f, name) for f, _, name, _ in SCALAR_ARGUMENTS}
+    modules = (stat_bounds, decoy, detector_model, phase_error, keyrate, channel_sim, mc_verify)
+    for module in modules:
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if isinstance(obj, type):
+                assert obj in RECORDS or obj in RESULTS, attr
+                continue
+            hints = typing.get_type_hints(obj)
+            for name in inspect.signature(obj).parameters:
+                hint = hints.get(name)
+                types = typing.get_args(hint) or (hint,)
+                is_record = any(t in RECORDS for t in types)
+                assert is_record or (obj, name) in table or (obj, name) in NOT_SCALAR, (attr, name)
