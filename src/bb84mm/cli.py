@@ -10,7 +10,10 @@ resolved configuration for reproducibility.  Every subcommand builds every
 config section when it reads the file, so an unknown section, an unknown or
 missing key, or a bad value is an error naming 'section.key' (or
 'section.key[i]') even in a section the subcommand does not read.  Exit
-codes: 0 success, 2 configuration error, 3 numeric failure.
+codes: 0 success, 2 bad input, 3 numeric failure.  ``main`` reads the config
+once and is the one place a ``ValueError`` becomes exit 2: any bad value in
+a config file, a flag or an observations file, or a file that cannot be
+read as JSON, exits 2 with a message naming the field or the path.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import json
 import math
 import sys
 import time
-from typing import Any
 
 from bb84mm.channel_sim import ChannelSpec, expected_observations, sample_observations
 from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
@@ -44,10 +46,6 @@ EXIT_NUMERIC = 3
 CSV_HEADER = "loss_db,key_rate_per_pulse,key_length,phase_bound,delta1,delta2"
 
 
-class ConfigError(Exception):
-    """Malformed or out-of-range configuration; maps to exit code 2."""
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -62,11 +60,13 @@ def _load_json(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+        raise ValueError(f"{path}: top level must be an object")
     return data
 
 
@@ -106,15 +106,15 @@ def _load_config(path: str | None) -> tuple[dict, dict]:
     cfg = _load_json(path) if path else {}
     for name, sec in cfg.items():
         if name not in _SECTIONS:
-            raise ConfigError(f"{path}: unknown config section '{name}'")
+            raise ValueError(f"{path}: unknown config section '{name}'")
         if not isinstance(sec, dict):
-            raise ConfigError(f"{path}: config section '{name}' must be an object")
+            raise ValueError(f"{path}: config section '{name}' must be an object")
     built = {}
     for name, owner in _SECTIONS.items():
         supplied = {}
         if name == "channel" and name in cfg:
             if "detector" not in built:
-                raise ConfigError(f"{path}: missing config section 'detector' for the channel")
+                raise ValueError(f"{path}: missing config section 'detector' for the channel")
             supplied = {"transmissivity": 1.0, "detector": built["detector"]}
         if name not in cfg and any(_keys(owner, supplied).values()):
             continue  # absent, and some key has no default
@@ -138,26 +138,20 @@ def _build(owner, record: dict, path: str, section: str = "", **supplied):
     keys = _keys(owner, supplied)
     unknown = [k for k in record if k not in keys]
     if unknown:
-        raise ConfigError(f"{path}: unknown key '{prefix}{unknown[0]}'")
+        raise ValueError(f"{path}: unknown key '{prefix}{unknown[0]}'")
     missing = [k for k, required in keys.items() if required and k not in record]
     if missing:
-        raise ConfigError(f"{path}: missing key '{prefix}{missing[0]}'")
+        raise ValueError(f"{path}: missing key '{prefix}{missing[0]}'")
     try:
         return owner(**record, **supplied)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}" if section else f"{path}: {exc}") from exc
+        raise ValueError(f"{prefix}{exc}" if section else f"{path}: {exc}") from exc
 
 
 def _section(built: dict, name: str):
     if name not in built:
-        raise ConfigError(f"missing config section '{name}'")
+        raise ValueError(f"missing config section '{name}'")
     return built[name]
-
-
-def _resolved(cfg: dict, **extra: Any) -> dict:
-    out = json.loads(json.dumps(cfg))
-    out.update(extra)
-    return out
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -183,7 +177,7 @@ def _observations(path: str) -> Observations:
     record = _load_json(path)
     record = record.get("observations", record)
     if not isinstance(record, dict):
-        raise ConfigError(f"{path}: observations must be an object")
+        raise ValueError(f"{path}: observations must be an object")
     return _build(Observations, record, path)
 
 
@@ -192,8 +186,7 @@ def _observations(path: str) -> Observations:
 # ---------------------------------------------------------------------------
 
 
-def cmd_keyrate(args: argparse.Namespace) -> int:
-    cfg, built = _load_config(args.config)
+def cmd_keyrate(args: argparse.Namespace, cfg: dict, built: dict) -> int:
     decoy_cfg = _section(built, "decoy")
     budget, f_ec = built["epsilons"], built["error_correction"]
     deltas = closed_form_deltas(_section(built, "detector"))
@@ -203,7 +196,7 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
         decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
         _emit_json(
             {
-                "config": _resolved(cfg),
+                "config": cfg,
                 **dataclasses.asdict(decision),
                 "security_parameter": budget.security_parameter(decoy=True),
             },
@@ -212,7 +205,7 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     losses, channel = _section(built, "scan"), _section(built, "channel")
-    lines = ["# config=" + json.dumps(_resolved(cfg), sort_keys=True), CSV_HEADER]
+    lines = ["# config=" + json.dumps(cfg, sort_keys=True), CSV_HEADER]
     for loss in losses:
         ch = dataclasses.replace(channel, transmissivity=_transmissivity(loss))
         obs = expected_observations(ch, decoy_cfg)
@@ -226,17 +219,13 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_delta(args: argparse.Namespace) -> int:
-    cfg, built = _load_config(args.config)
+def cmd_delta(args: argparse.Namespace, cfg: dict, built: dict) -> int:
     detector = _section(built, "detector")
     closed = closed_form_deltas(detector)
-    try:
-        oracle = oracle_deltas(detector, n_max=args.nmax, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(f"delta: {exc}") from exc
+    oracle = oracle_deltas(detector, n_max=args.nmax, seed=args.seed)
     _emit_json(
         {
-            "config": _resolved(cfg, nmax=args.nmax, seed=args.seed),
+            "config": {**cfg, "nmax": args.nmax, "seed": args.seed},
             "closed_form": {"d1": closed.delta1, "d2": closed.delta2},
             "oracle": {"d1": oracle.delta1, "d2": oracle.delta2},
         },
@@ -245,8 +234,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_decoy(args: argparse.Namespace) -> int:
-    cfg, built = _load_config(args.config)
+def cmd_decoy(args: argparse.Namespace, cfg: dict, built: dict) -> int:
     decoy_cfg = _section(built, "decoy")
     eps_d_sq = built["epsilons"].eps_at_d ** 2
     obs = _observations(args.observations)
@@ -257,32 +245,28 @@ def cmd_decoy(args: argparse.Namespace) -> int:
         for name, counts in classes.items()
     }
     _emit_json(
-        {"config": _resolved(cfg, observations=dataclasses.asdict(obs)), "bounds": bounds},
+        {"config": {**cfg, "observations": dataclasses.asdict(obs)}, "bounds": bounds},
         args.out,
     )
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, built = _load_config(args.config)
+def cmd_simulate(args: argparse.Namespace, cfg: dict, built: dict) -> int:
     decoy_cfg = _section(built, "decoy")
     losses = built.get("scan", [0.0])
     if not losses:
-        raise ConfigError("scan.loss_db is empty: simulate runs at its first entry")
+        raise ValueError("scan.loss_db is empty: simulate runs at its first entry")
     loss = losses[0]
     ch = dataclasses.replace(_section(built, "channel"), transmissivity=_transmissivity(loss))
     if args.seed is None:
         obs = expected_observations(ch, decoy_cfg)
         mode = "expected"
     else:
-        try:
-            obs = sample_observations(ch, decoy_cfg, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"simulate: {exc}") from exc
+        obs = sample_observations(ch, decoy_cfg, seed=args.seed)
         mode = "sampled"
     _emit_json(
         {
-            "config": _resolved(cfg, loss_db=loss, seed=args.seed, mode=mode),
+            "config": {**cfg, "loss_db": loss, "seed": args.seed, "mode": mode},
             "observations": dataclasses.asdict(obs),
         },
         args.out,
@@ -298,23 +282,16 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg, built = _load_config(args.config)
+def cmd_verify(args: argparse.Namespace, cfg: dict, built: dict) -> int:
     flags = {k: v for k, v in {"trials": args.trials, "seed": args.seed}.items() if v is not None}
-    try:
-        trial_cfg = dataclasses.replace(built["verify"], **flags)
-    except ValueError as exc:
-        raise ConfigError(f"verify.{exc}") from exc
+    trial_cfg = dataclasses.replace(built["verify"], **flags)
     verifier = _VERIFIERS[args.lemma]
     extra = (built["decoy"],) if args.lemma == "decoy" and "decoy" in built else ()
     start = time.perf_counter()
-    try:
-        report = verifier(trial_cfg, *extra)
-    except ValueError as exc:
-        raise ConfigError(f"verify: {exc}") from exc
+    report = verifier(trial_cfg, *extra)
     payload = report.as_dict()
     payload["wall_s"] = time.perf_counter() - start
-    payload["config"] = _resolved(cfg, verify=dataclasses.asdict(trial_cfg), lemma=args.lemma)
+    payload["config"] = {**cfg, "verify": dataclasses.asdict(trial_cfg), "lemma": args.lemma}
     _emit_json(payload, args.out)
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
@@ -373,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        return args.func(args, *_load_config(args.config))
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, RuntimeError) as exc:

@@ -71,12 +71,13 @@ class OutcomeCounts(_Record):
     """Per-intensity counts of one outcome class.
 
     Counts are integers in a protocol run; expectation pipelines may carry
-    real values, which the bounds accept unchanged.
+    real values, which the bounds accept unchanged.  Each is at most 1e24,
+    the cap on a run's rounds (``ChannelSpec.n_total``).
     """
 
     counts: tuple[float, float, float]
 
-    _FIELDS = {"counts": (0.0, math.inf, tuple, "[]")}
+    _FIELDS = {"counts": (0.0, 10**24, tuple, "[]")}
 
     @property
     def total(self) -> float:
@@ -94,7 +95,8 @@ class Observations(_Record):
 
     ``n_x``: X-basis conclusive counts, ``n_k``: key-generation counts,
     ``e_x``: per-intensity X error rates, ``e_z``: pooled error-rate estimate
-    from the sampled key-basis test fraction.
+    from the sampled key-basis test fraction.  Each count is at most 1e24,
+    the cap on a run's rounds (``ChannelSpec.n_total``).
     """
 
     n_x: tuple[float, float, float]
@@ -103,7 +105,7 @@ class Observations(_Record):
     e_z: float
 
     _FIELDS = {
-        "n_x": (0.0, math.inf, tuple, "[]"), "n_k": (0.0, math.inf, tuple, "[]"),
+        "n_x": (0.0, 10**24, tuple, "[]"), "n_k": (0.0, 10**24, tuple, "[]"),
         "e_x": (0.0, 1.0, tuple, "[]"), "e_z": (0.0, 1.0, float, "[]"),
     }
 

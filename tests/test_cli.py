@@ -253,6 +253,9 @@ BOUNDARY_CASES = {
     "keyrate-verify.trails": ("keyrate", _with("verify", trails=1000), None, "verify.trails"),
     "verify-channel.p_ztest": ("verify", _with("channel", p_ztest=0.05), None, "channel.p_ztest"),
     "simulate-seed--1": ("simulate --seed -1", BASE_CONFIG, None, "seed must be a finite integer in [0, inf], got -1"),
+    # counts whose sum overflows to inf
+    "keyrate-n_x-1e308": ("keyrate", BASE_CONFIG, dict(FULL_RECORD, n_x=[1e308, 1e308, 1e308]), "n_x[0]"),
+    "decoy-n_k-1e308": ("decoy", BASE_CONFIG, dict(FULL_RECORD, n_k=[1e308, 1e308, 1e3]), "n_k[0]"),
     **{
         f"keyrate-{name}-1e-200": ("keyrate", _with("epsilons", **{name: 1e-200}), None, name)
         for name in ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d")
@@ -316,6 +319,15 @@ class TestErrorPaths:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("kind", ["config", "observations"])
+    def test_file_that_is_not_utf8_is_named(self, config_path, tmp_path, capsys, kind):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"n_x": "\u00e9"}'.encode("latin-1"))
+        files = {"config": config_path, "observations": config_path, kind: str(path)}
+        argv = ["decoy", "--config", files["config"], "--observations", files["observations"]]
+        assert run_cli(*argv) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_bad_scan_axis(self, tmp_path):
         cfg = dict(BASE_CONFIG, scan={"loss_db": "zero"})
@@ -502,6 +514,35 @@ def test_a_bad_value_runs_or_is_named(tmp_path_factory, command, field, bad):
         assert not any(words in err.getvalue() for words in PYTHON_WORDS), err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["keyrate", "decoy"])
+@pytest.mark.parametrize(
+    "key, bad",
+    [(key, bad) for key in ("n_x", "n_k", "e_x", "e_z") for bad in BAD_VALUES]
+    + [("n_x", "overflow"), ("n_k", "overflow")],
+)
+def test_a_bad_observation_runs_or_is_named(config_path, tmp_path, capsys, command, key, bad):
+    # A bad value replaces a per-intensity field's first entry, or e_z;
+    # "overflow" sets every entry to 1e308, so their sum is inf.
+    record = dict(FULL_RECORD)
+    if bad == "overflow":
+        record[key] = [1e308] * 3
+        text = json.dumps(record)
+    elif BAD_VALUES[bad] is None:
+        del record[key]
+        text = json.dumps(record)
+    else:
+        record[key] = "@bad@" if key == "e_z" else ["@bad@", *record[key][1:]]
+        text = json.dumps(record).replace('"@bad@"', BAD_VALUES[bad])
+    path = tmp_path / "obs.json"
+    path.write_text(text)
+    code = run_cli(command, "--config", config_path, "--observations", str(path), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 2:
+        assert key in err
+        assert not any(words in err for words in PYTHON_WORDS), err
+
+
 @pytest.mark.parametrize("command", ["delta --nmax 2", "simulate", "verify --lemma serfling --trials 1000"])
 @pytest.mark.parametrize(
     "section, value", [("epsilons", {"eps_pa": "x"}), ("channel", {"p_z_test": 7}), ("error_correction", {"f_ec": 0.5})]
@@ -527,19 +568,32 @@ def test_a_channel_needs_a_detector(tmp_path, capsys):
     [
         ("channel", {"n_total": 10**24}, {"n_total": 10**24 + 1}, "channel.n_total"),
         ("decoy", {"intensities": [100, 0.1, 0]}, {"intensities": [100.5, 0.1, 0]}, "decoy.intensities[0]"),
+        ("observations", {"n_x": [10**24, 1e6, 1e5]}, {"n_x": [10**24 + 1, 1e6, 1e5]}, "n_x[0]"),
     ],
 )
 def test_upper_bound_runs_every_subcommand(tmp_path, capsys, section, at_bound, beyond, where):
-    path, out, obs = tmp_path / "cfg.json", str(tmp_path / "out"), str(tmp_path / "obs.json")
-    path.write_text(json.dumps(_with(section, **at_bound)))
+    # A config row sets its section, and decoy and keyrate read the
+    # observations simulate writes from it; the observations row sets
+    # fields of that file instead.
+    path, out, obs = tmp_path / "cfg.json", str(tmp_path / "out"), tmp_path / "obs.json"
     c = str(path)
-    assert run_cli("keyrate", "--config", c, "--out", out) == 0
-    assert run_cli("delta", "--config", c, "--nmax", "2", "--out", out) == 0
-    assert run_cli("simulate", "--config", c, "--out", obs) == 0
-    assert run_cli("decoy", "--config", c, "--observations", obs, "--out", out) == 0
-    assert run_cli("keyrate", "--config", c, "--observations", obs, "--out", out) == 0
-    path.write_text(json.dumps(_with(section, **beyond)))
-    assert run_cli("keyrate", "--config", c, "--out", out) == 2
+
+    def exit_codes(fields):
+        path.write_text(json.dumps(_with(section, **fields) if section in BASE_CONFIG else BASE_CONFIG))
+        codes = [
+            run_cli("keyrate", "--config", c, "--out", out),
+            run_cli("delta", "--config", c, "--nmax", "2", "--out", out),
+            run_cli("simulate", "--config", c, "--out", str(obs)),
+        ]
+        if section not in BASE_CONFIG:
+            obs.write_text(json.dumps(dict(FULL_RECORD, **fields)))
+        return codes + [
+            run_cli("decoy", "--config", c, "--observations", str(obs), "--out", out),
+            run_cli("keyrate", "--config", c, "--observations", str(obs), "--out", out),
+        ]
+
+    assert exit_codes(at_bound) == [0] * 5
+    assert exit_codes(beyond) == ([2] * 5 if section in BASE_CONFIG else [0, 0, 0, 2, 2])
     assert where in capsys.readouterr().err
 
 
@@ -565,3 +619,10 @@ def test_import_leaves_scipy_stats_unloaded(config_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
     assert json.loads((tmp_path / "delta.json").read_text())["oracle"]["d1"] > 0
+
+
+def test_import_bb84mm_stays_thin():
+    script = "import sys, bb84mm; print(bb84mm.__version__, 'numpy' in sys.modules, 'scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[1:] == ["False", "False"]
