@@ -13,7 +13,8 @@ missing key, or a bad value is an error naming 'section.key' (or
 codes: 0 success, 2 bad input, 3 numeric failure.  ``main`` reads the config
 once and is the one place a ``ValueError`` becomes exit 2: any bad value in
 a config file, a flag or an observations file, or a file that cannot be
-read as JSON, exits 2 with a message naming the field or the path.
+read as JSON, exits 2 with an ``input error:`` message naming the field or
+the path.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from bb84mm.mc_verify import (
 from bb84mm.stat_bounds import _checked_number
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
+EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 CSV_HEADER = "loss_db,key_rate_per_pulse,key_length,phase_bound,delta1,delta2"
@@ -352,8 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args, *_load_config(args.config))
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

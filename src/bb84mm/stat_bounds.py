@@ -159,25 +159,58 @@ def _tail_at_count(n: int, delta: float, k: int) -> float:
     return float(betainc(k, n - k + 1, delta))
 
 
+# Probes that may take a Newton step; later ones bisect.
+_NEWTON_PROBES = 6
+
+
 def binomial_quantile(n: int, delta: float, eps_sq: float) -> float:
     """Smallest frequency k/n with P[Binomial(n, delta) >= k] <= eps_sq.
 
-    Bisection over k in [0, n + 1], where the tail is non-increasing and
-    P[X >= n + 1] = 0.  For delta = 0 the tail vanishes at every positive
-    frequency and the quantile is defined as exactly 0.
+    The tail T(k) = P[X >= k] is non-increasing in k and T(n + 1) = 0, so
+    the answer lies in the bracket [lo, hi] = [0, n + 1].  Each probe
+    evaluates T at a count k in [lo, hi) and narrows the bracket: T(k) <=
+    eps_sq sets hi = k, otherwise lo = k + 1.  The search ends when lo ==
+    hi, so evaluated tails alone decide the result, and it is the k a
+    bisection finds; only the order of the probes is guessed.
+
+    The first probe is the Gaussian estimate n delta + sqrt(-2 n delta
+    (1 - delta) ln eps_sq).  The next is a Newton step x on log T with the
+    slope log r, where r = (n - k) delta / ((k + 1)(1 - delta)) is the
+    ratio of successive pmf terms, exact in the deep tail.  It is rounded
+    to ceil(x) after a probe above eps_sq and to ceil(x) - 1 after one at
+    or below, so each probe tests one side of the answer.  The midpoint is
+    probed instead when T(k) is 0, r is not in (0, 1) (as at delta = 1), x
+    is not finite or the step leaves [lo, hi), and on every probe after
+    the sixth.  So a search makes at most 6 + ceil(log2(n + 2)) probes,
+    and about four at key-length sizes.  For delta = 0 the tail vanishes
+    at every positive frequency and the quantile is defined as exactly 0.
     """
     _checked_number("n", n, 1, math.inf, int)
     _checked_number("delta", delta, 0.0, 1.0)
     _checked_number("eps_sq", eps_sq, 0.0, 1.0, float, "()")
     if delta == 0.0:
         return 0.0
+    log_eps = math.log(eps_sq)
     lo, hi = 0, n + 1
+    k = math.ceil(n * delta + math.sqrt(-2.0 * n * delta * (1.0 - delta) * log_eps))
+    probes = 0
     while lo < hi:
-        mid = (lo + hi) // 2
-        if _tail_at_count(n, delta, mid) <= eps_sq:
-            hi = mid
+        if not lo <= k < hi:
+            k = (lo + hi) // 2
+        t = _tail_at_count(n, delta, k)
+        probes += 1
+        if t <= eps_sq:
+            hi = k
         else:
-            lo = mid + 1
+            lo = k + 1
+        step = -1  # outside every bracket: the midpoint
+        if probes < _NEWTON_PROBES and t > 0.0 and delta < 1.0:
+            ratio = (n - k) * delta / ((k + 1) * (1.0 - delta))
+            if 0.0 < ratio < 1.0:
+                x = k + (log_eps - math.log(t)) / math.log(ratio)
+                if math.isfinite(x):
+                    step = math.ceil(x) - 1 if t <= eps_sq else math.ceil(x)
+        k = step
     return lo / n
 
 

@@ -396,6 +396,19 @@ class TestErrorPaths:
         assert run_cli("delta", "--config", config_path, *argv) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "observations"])
+    def test_bad_input_is_an_input_error(self, config_path, tmp_path, capsys, source):
+        # A flag or an observations file is input, not config.
+        if source == "flag":
+            argv, field = ["delta", "--config", config_path, "--nmax", "0"], "n_max"
+        else:
+            path = tmp_path / "obs.json"
+            path.write_text(json.dumps(dict(FULL_RECORD, e_z=-0.5)))
+            argv, field = ["keyrate", "--config", config_path, "--observations", str(path)], "e_z"
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and field in err, err
+
     @pytest.mark.parametrize("base_rate", [0.0, 0.005])
     def test_transfer_base_rate_below_its_minimum(self, tmp_path, capsys, base_rate):
         # The transfer profile spreads its rates down to 0.01; the other

@@ -10,6 +10,7 @@ import inspect
 import math
 import typing
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,6 +154,81 @@ class TestBinomialTail:
             TailQuery(n=10, delta=1.1, c=0.1)
         with pytest.raises(ValueError):
             TailQuery(n=0, delta=0.1, c=0.1)
+
+
+def quantile_bisection(n: int, delta: float, eps_sq: float) -> float:
+    """Oracle: the full-range bisection binomial_quantile once was, kept
+    verbatim; the search must end on the same k."""
+    if delta == 0.0:
+        return 0.0
+    lo, hi = 0, n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _tail_at_count(n, delta, mid) <= eps_sq:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo / n
+
+
+def quantile_and_tail_evals(n: int, delta: float, eps_sq: float) -> tuple[float, int]:
+    """binomial_quantile and the tail evaluations it made, counted through
+    ``stat_bounds.betainc``, the hook the benchmark's tracer counts too."""
+    with mock.patch.object(stat_bounds, "betainc", wraps=stat_bounds.betainc) as counted:
+        return binomial_quantile(n, delta, eps_sq), counted.call_count
+
+
+def probe_bound(n: int) -> int:
+    """Six probes that may step by Newton, then a bisection of [0, n + 1]."""
+    return 6 + math.ceil(math.log2(n + 2))
+
+
+# The reference detector (eta_det 0.7, d_det 1e-6) at 1 % and 5 % tolerances.
+KEYRATE_DELTAS = [
+    d
+    for p in (detector_model.closed_form_deltas(DetectorSpec(0.7, 1e-6, t, t)) for t in (0.01, 0.05))
+    for d in (p.delta1, p.delta2)
+]
+
+
+class TestBinomialQuantile:
+    @settings(max_examples=500)
+    @given(
+        n=st.integers(1, 10**12),
+        delta=st.floats(0.0, 1.0, exclude_min=True),
+        eps_sq=st.floats(5e-324, 1.0 - 2.0**-53),
+    )
+    def test_matches_bisection_within_the_probe_bound(self, n, delta, eps_sq):
+        got, evals = quantile_and_tail_evals(n, delta, eps_sq)
+        assert got == quantile_bisection(n, delta, eps_sq)
+        assert evals <= probe_bound(n)
+
+    @pytest.mark.parametrize(
+        "n, delta, eps_sq",
+        [
+            # delta = 1: every tail inside [1, n] is 1, the answer is n + 1.
+            (1, 1.0, 1e-24), (10, 1.0, 0.5), (10**12, 1.0, 5e-324),
+            # one trial
+            (1, 0.3, 0.29), (1, 0.3, 0.3), (1, 0.3, 0.31), (1, 5e-324, 1e-300), (1, 0.5, 1.0 - 2.0**-53),
+            # eps_sq near 1: the answer sits at or just above the mean
+            (10**12, 0.01, 1.0 - 2.0**-53), (1000, 0.5, 0.999999), (7, 0.9, 1.0 - 2.0**-53),
+            # tails that underflow to 0 before the answer
+            (10**12, 0.5, 5e-324), (10**9, 1e-3, 5e-324), (10**6, 0.999, 1e-300),
+            (1000, 0.5, 5e-324), (200, 0.3, 5e-324),
+        ],
+    )
+    def test_matches_bisection_on_edge_rows(self, n, delta, eps_sq):
+        got, evals = quantile_and_tail_evals(n, delta, eps_sq)
+        assert got == quantile_bisection(n, delta, eps_sq)
+        assert evals <= probe_bound(n)
+
+    @pytest.mark.parametrize("delta", KEYRATE_DELTAS)
+    def test_few_tail_evals_at_key_length_sizes(self, delta):
+        # A slide back to a full bisection takes 24-35 here.
+        for n in np.geomspace(1e7, 3e10, 40).astype(int).tolist():
+            got, evals = quantile_and_tail_evals(n, delta, 1e-24)
+            assert got == quantile_bisection(n, delta, 1e-24)
+            assert evals <= 6, (n, evals)
 
 
 class TestGammaBin:
