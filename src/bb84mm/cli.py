@@ -9,12 +9,24 @@ All inputs come from a JSON config file; every output embeds the fully
 resolved configuration for reproducibility.  Every subcommand builds every
 config section when it reads the file, so an unknown section, an unknown or
 missing key, or a bad value is an error naming 'section.key' (or
-'section.key[i]') even in a section the subcommand does not read.  Exit
-codes: 0 success, 2 bad input, 3 numeric failure.  ``main`` reads the config
-once and is the one place a ``ValueError`` becomes exit 2: any bad value in
-a config file, a flag or an observations file, or a file that cannot be
-read as JSON, exits 2 with an ``input error:`` message naming the field or
-the path.
+'section.key[i]') even in a section the subcommand does not read.
+``verify --lemma decoy`` reads the config's ``decoy`` section when it has
+one, and the reference decoy otherwise.
+
+``main`` is the one writer of every output.  It reads the config once and
+an ``--observations`` file into ``built["observations"]``, runs the
+subcommand, which returns ``(inputs, result)``, and writes one envelope to
+stdout or ``--out``: ``{"config": {**config, **inputs}, **result}`` as JSON,
+with the observations record under ``config.observations``, or the scan's
+CSV rows below a ``# config=`` line.  A run that ends in an error
+writes nothing.
+
+Exit codes: 0 success, 2 bad input, 3 numeric failure or a failed lemma
+check (``lemma check failed: <lemma>`` on stderr, after the report is
+written).  ``main`` is the one place a ``ValueError`` becomes exit 2: any
+bad value in a config file, a flag or an observations file, a file that
+cannot be read as JSON, or an ``--out`` path that cannot be written, exits 2
+with an ``input error:`` message naming the field or the path.
 """
 
 from __future__ import annotations
@@ -155,23 +167,6 @@ def _section(built: dict, name: str):
     return built[name]
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
-
-
-# ---------------------------------------------------------------------------
-# observation files
-# ---------------------------------------------------------------------------
-
-
 def _observations(path: str) -> Observations:
     """The record at the top level of the file, or under "observations" as
     ``simulate`` writes it."""
@@ -187,72 +182,56 @@ def _observations(path: str) -> Observations:
 # ---------------------------------------------------------------------------
 
 
-def cmd_keyrate(args: argparse.Namespace, cfg: dict, built: dict) -> int:
+def cmd_keyrate(args: argparse.Namespace, built: dict) -> tuple[dict, dict | list[str]]:
     decoy_cfg = _section(built, "decoy")
     budget, f_ec = built["epsilons"], built["error_correction"]
     deltas = closed_form_deltas(_section(built, "detector"))
 
-    if args.observations:
-        obs = _observations(args.observations)
-        decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
-        _emit_json(
-            {
-                "config": cfg,
-                **dataclasses.asdict(decision),
-                "security_parameter": budget.security_parameter(decoy=True),
-            },
-            args.out,
-        )
-        return EXIT_OK
+    if "observations" in built:
+        decision = key_length_decoy(built["observations"], decoy_cfg, deltas, budget, f_ec=f_ec)
+        return {}, {
+            **dataclasses.asdict(decision),
+            "security_parameter": budget.security_parameter(decoy=True),
+        }
 
     losses, channel = _section(built, "scan"), _section(built, "channel")
-    lines = ["# config=" + json.dumps(cfg, sort_keys=True), CSV_HEADER]
+    rows = []
     for loss in losses:
         ch = dataclasses.replace(channel, transmissivity=_transmissivity(loss))
         obs = expected_observations(ch, decoy_cfg)
         decision = key_length_decoy(obs, decoy_cfg, deltas, budget, f_ec=f_ec)
         rate = decision.key_length / ch.n_total
-        lines.append(
+        rows.append(
             f"{_fmt(loss)},{_fmt(rate)},{decision.key_length},{_fmt(decision.phase_bound)},"
             f"{_fmt(deltas.delta1)},{_fmt(deltas.delta2)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return {}, rows
 
 
-def cmd_delta(args: argparse.Namespace, cfg: dict, built: dict) -> int:
+def cmd_delta(args: argparse.Namespace, built: dict) -> tuple[dict, dict]:
     detector = _section(built, "detector")
     closed = closed_form_deltas(detector)
     oracle = oracle_deltas(detector, n_max=args.nmax, seed=args.seed)
-    _emit_json(
-        {
-            "config": {**cfg, "nmax": args.nmax, "seed": args.seed},
-            "closed_form": {"d1": closed.delta1, "d2": closed.delta2},
-            "oracle": {"d1": oracle.delta1, "d2": oracle.delta2},
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {"nmax": args.nmax, "seed": args.seed}, {
+        "closed_form": {"d1": closed.delta1, "d2": closed.delta2},
+        "oracle": {"d1": oracle.delta1, "d2": oracle.delta2},
+    }
 
 
-def cmd_decoy(args: argparse.Namespace, cfg: dict, built: dict) -> int:
+def cmd_decoy(args: argparse.Namespace, built: dict) -> tuple[dict, dict]:
     decoy_cfg = _section(built, "decoy")
     eps_d_sq = built["epsilons"].eps_at_d ** 2
-    obs = _observations(args.observations)
+    obs = built["observations"]
     classes = {"x": obs.counts_x(), "x_err": obs.counts_x_err(), "k": obs.counts_k()}
     names = ("vacuum_lower", "single_lower", "single_upper")
     bounds = {
         name: dict(zip(names, decoy_bounds(counts, decoy_cfg, eps_d_sq)))
         for name, counts in classes.items()
     }
-    _emit_json(
-        {"config": {**cfg, "observations": dataclasses.asdict(obs)}, "bounds": bounds},
-        args.out,
-    )
-    return EXIT_OK
+    return {}, {"bounds": bounds}
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: dict, built: dict) -> int:
+def cmd_simulate(args: argparse.Namespace, built: dict) -> tuple[dict, dict]:
     decoy_cfg = _section(built, "decoy")
     losses = built.get("scan", [0.0])
     if not losses:
@@ -265,14 +244,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict, built: dict) -> int:
     else:
         obs = sample_observations(ch, decoy_cfg, seed=args.seed)
         mode = "sampled"
-    _emit_json(
-        {
-            "config": {**cfg, "loss_db": loss, "seed": args.seed, "mode": mode},
-            "observations": dataclasses.asdict(obs),
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {"loss_db": loss, "seed": args.seed, "mode": mode}, {"observations": dataclasses.asdict(obs)}
 
 
 _VERIFIERS = {
@@ -283,18 +255,15 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify(args: argparse.Namespace, cfg: dict, built: dict) -> int:
+def cmd_verify(args: argparse.Namespace, built: dict) -> tuple[dict, dict]:
     flags = {k: v for k, v in {"trials": args.trials, "seed": args.seed}.items() if v is not None}
     trial_cfg = dataclasses.replace(built["verify"], **flags)
     verifier = _VERIFIERS[args.lemma]
     extra = (built["decoy"],) if args.lemma == "decoy" and "decoy" in built else ()
     start = time.perf_counter()
-    report = verifier(trial_cfg, *extra)
-    payload = report.as_dict()
-    payload["wall_s"] = time.perf_counter() - start
-    payload["config"] = {**cfg, "verify": dataclasses.asdict(trial_cfg), "lemma": args.lemma}
-    _emit_json(payload, args.out)
-    return EXIT_OK if report.passed else EXIT_NUMERIC
+    report = verifier(trial_cfg, *extra).as_dict()
+    report["wall_s"] = time.perf_counter() - start
+    return {"verify": dataclasses.asdict(trial_cfg), "lemma": args.lemma}, report
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +320,34 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, *_load_config(args.config))
+        cfg, built = _load_config(args.config)
+        if getattr(args, "observations", None):
+            built["observations"] = _observations(args.observations)
+            cfg = {**cfg, "observations": dataclasses.asdict(built["observations"])}
+        inputs, result = args.func(args, built)
+        cfg = {**cfg, **inputs}
+        if isinstance(result, list):
+            text = "\n".join(["# config=" + json.dumps(cfg, sort_keys=True), CSV_HEADER, *result])
+        else:
+            text = json.dumps({"config": cfg, **result}, indent=2, sort_keys=True)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc}") from exc
+        else:
+            sys.stdout.write(text + "\n")
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if "lemma" in inputs and not result["pass"]:
+        print(f"lemma check failed: {inputs['lemma']}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -438,9 +438,10 @@ def oracle_deltas(
     one row per orbit (``_orbit_rows``) is the maximum over the box.  At
     the defaults the 272 box rows (256 corners and 16 interior samples)
     leave 107 rows to solve, 91 of them corners; renormalizing alone would
-    leave 256.  A call at the ``delta`` defaults takes about 14 ms (median
-    of the benchmark's ``mismatch_oracle`` ops, 2-core x86-64, one BLAS
-    thread).  ``n_max`` must lie in [1, MAX_BLOCK_PHOTONS], ``seed`` be
+    leave 256.  A call at the ``delta`` defaults takes 8.7-9.9 ms (the
+    ``op_p50_ms`` medians of three runs of the benchmark's
+    ``mismatch_oracle`` workload, 2-core x86-64, one BLAS thread).
+    ``n_max`` must lie in [1, MAX_BLOCK_PHOTONS], ``seed`` be
     >= 0 and ``interior_samples`` be an integer >= 0 (0: corners only).
     """
     n_max = _checked_number("n_max", n_max, 1, MAX_BLOCK_PHOTONS, int)

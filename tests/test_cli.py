@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 from bb84mm import cli
 from bb84mm.channel_sim import ChannelSpec, expected_observations
-from bb84mm.decoy import DecoyConfig
+from bb84mm.decoy import DecoyConfig, Observations
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas, oracle_deltas
 from bb84mm.keyrate import EpsilonBudget, key_length_decoy
+from bb84mm.mc_verify import TrialConfig
 
 BASE_CONFIG = {
     "detector": {"eta_det": 0.7, "d_det": 1e-6, "delta_eta": 0.01, "delta_dc": 0.01},
@@ -177,7 +179,6 @@ class TestSimulateDecoyRoundTrip:
 
         # in-process recomputation from the emitted observations
         from bb84mm.channel_sim import sample_observations
-        from bb84mm.decoy import Observations
 
         obs = Observations(
             n_x=tuple(payload["observations"]["n_x"]),
@@ -291,6 +292,71 @@ class TestVerifyCommand:
         assert set(payload) >= {"empirical", "bound", "sigma", "pass", "wall_s"}
         assert payload["pass"] is True
         assert isinstance(payload["wall_s"], float) and payload["wall_s"] >= 0.0
+
+    def test_failed_lemma_check_says_so(self, tmp_path, capsys):
+        # With p_test = 0 no trial is valid, so the serfling check fails.
+        path, out = tmp_path / "cfg.json", tmp_path / "verify.json"
+        path.write_text(json.dumps({"verify": {"p_test": 0, "trials": 1000}}))
+        assert run_cli("verify", "--lemma", "serfling", "--config", str(path), "--out", str(out)) == 3
+        assert capsys.readouterr().err == "lemma check failed: serfling\n"
+        assert json.loads(out.read_text())["pass"] is False
+
+
+def _as_json(value):
+    return json.loads(json.dumps(value))
+
+
+def test_every_output_embeds_its_inputs(config_path, tmp_path):
+    # Each output's config is the file's sections plus what its subcommand
+    # resolved beyond the file; an observations file is embedded whole.
+    def payload(*argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--config", config_path, "--out", str(out)) == 0
+        return out.read_text()
+
+    csv = payload("keyrate").splitlines()
+    assert json.loads(csv[0].removeprefix("# config=")) == BASE_CONFIG
+    delta = json.loads(payload("delta", "--nmax", "2"))
+    assert delta["config"] == {**BASE_CONFIG, "nmax": 2, "seed": 0}
+    obs_path = tmp_path / "obs.json"
+    obs_path.write_text(payload("simulate", "--seed", "7"))
+    observations = json.loads(obs_path.read_text())
+    assert observations["config"] == {**BASE_CONFIG, "loss_db": 0.0, "seed": 7, "mode": "sampled"}
+    record = observations["observations"]
+    for command in ("decoy", "keyrate"):
+        out = json.loads(payload(command, "--observations", str(obs_path)))
+        assert out["config"] == {**BASE_CONFIG, "observations": record}
+    decision = key_length_decoy(
+        Observations(**out["config"]["observations"]),
+        DecoyConfig.reference(),
+        closed_form_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01)),
+        EpsilonBudget(),
+        f_ec=1.16,
+    )
+    assert _as_json(dataclasses.asdict(decision)).items() <= out.items()
+    verify = json.loads(payload("verify", "--lemma", "serfling", "--trials", "1000", "--seed", "1"))
+    trials = dataclasses.asdict(TrialConfig(trials=1000, seed=1))
+    assert verify["config"] == {**BASE_CONFIG, "verify": _as_json(trials), "lemma": "serfling"}
+
+
+def test_unwritable_out_exits_2_naming_the_path(config_path, tmp_path, capsys):
+    # The output is written after all the work, and a path that cannot take
+    # it is bad input all the same.
+    obs_path = tmp_path / "obs.json"
+    obs_path.write_text(json.dumps(FULL_RECORD))
+    observations = ["--observations", str(obs_path)]
+    unwritable = str(tmp_path / "missing" / "out.json")
+    for command in [
+        ["keyrate"],
+        ["keyrate", *observations],
+        ["delta", "--nmax", "2"],
+        ["decoy", *observations],
+        ["simulate"],
+        ["verify", "--lemma", "serfling", "--trials", "1000"],
+    ]:
+        assert run_cli(*command, "--config", config_path, "--out", unwritable) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and unwritable in err and "Traceback" not in err, err
 
 
 class TestErrorPaths:

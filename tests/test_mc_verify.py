@@ -104,7 +104,7 @@ class TestKernels:
         exact = Counter()
         for roles in itertools.product(range(3), repeat=3):
             ones = [sum(b for b, r in zip(bits, roles) if r == role) for role in (0, 1)]
-            exact[roles.count(0), roles.count(1), *ones] += math.prod(probs[r] for r in roles)
+            exact[(roles.count(0), roles.count(1), *ones)] += math.prod(probs[r] for r in roles)
         draws = np.stack(_serfling_counts(3, 2, 0.3, 0.5, 100_000, np.random.default_rng(11)), axis=1)
         assert _gof_pvalue(draws, exact) >= GOF_ALPHA
 
