@@ -18,8 +18,9 @@ an ``--observations`` file into ``built["observations"]``, runs the
 subcommand, which returns ``(inputs, result)``, and writes one envelope to
 stdout or ``--out``: ``{"config": {**config, **inputs}, **result}`` as JSON,
 with the observations record under ``config.observations``, or the scan's
-CSV rows below a ``# config=`` line.  A run that ends in an error
-writes nothing.
+CSV rows below a ``# config=`` line.  The JSON is standard: a result that
+holds inf or NaN is a numeric failure naming the field.  A run that ends in
+an error writes nothing.
 
 Exit codes: 0 success, 2 bad input, 3 numeric failure or a failed lemma
 check (``lemma check failed: <lemma>`` on stderr, after the report is
@@ -61,6 +62,32 @@ CSV_HEADER = "loss_db,key_rate_per_pulse,key_length,phase_bound,delta1,delta2"
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _json(value: dict, **kwargs) -> str:
+    """``value`` as standard JSON with sorted keys.  JSON has no token for
+    inf or NaN, so a non-finite number is an ArithmeticError naming it."""
+    try:
+        return json.dumps(value, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise ArithmeticError(f"{_non_finite(value)} is not finite; JSON cannot write it") from exc
+
+
+def _non_finite(value, name: str = "") -> str | None:
+    """The name ('key.key[i]') of the first non-finite float in ``value``."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else name
+    if isinstance(value, dict):
+        named = ((f"{name}.{k}" if name else k, v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        named = ((f"{name}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for child, v in named:
+        found = _non_finite(v, child)
+        if found:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         inputs, result = args.func(args, built)
         cfg = {**cfg, **inputs}
         if isinstance(result, list):
-            text = "\n".join(["# config=" + json.dumps(cfg, sort_keys=True), CSV_HEADER, *result])
+            text = "\n".join(["# config=" + _json(cfg), CSV_HEADER, *result])
         else:
-            text = json.dumps({"config": cfg, **result}, indent=2, sort_keys=True)
+            text = _json({"config": cfg, **result}, indent=2)
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:

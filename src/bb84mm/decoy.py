@@ -29,7 +29,6 @@ __all__ = [
     "DecoyConfig",
     "OutcomeCounts",
     "Observations",
-    "photon_given_intensity",
     "tau",
     "intensity_given_photon",
     "shifted_counts",
@@ -130,17 +129,11 @@ class Observations(_Record):
 
 
 def _poisson(m: int, mu: float) -> float:
-    """``photon_given_intensity`` without the argument checks, for callers
-    whose m and mu are already checked."""
+    """Poisson mass p(m | mu) = exp(-mu) mu^m / m!, the module's one pmf.
+    Unchecked: callers pass an integer m >= 0 and a finite mu >= 0."""
     if mu == 0.0:
         return 1.0 if m == 0 else 0.0
     return math.exp(m * math.log(mu) - mu - math.lgamma(m + 1))
-
-
-def photon_given_intensity(m: int, mu: float) -> float:
-    """Poisson mass p(m | mu) = exp(-mu) mu^m / m!."""
-    m = _checked_number("m", m, 0, math.inf, int)
-    return _poisson(m, _checked_number("mu", mu, 0.0, math.inf))
 
 
 def tau(m: int, cfg: DecoyConfig) -> float:

@@ -214,9 +214,7 @@ def _pinv(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked(n: int, eta, dc) -> tuple[int, np.ndarray, np.ndarray]:
     """N as an int and ``eta``/``dc`` as float arrays, once all are in range."""
-    n = _checked_number("n", n, 0, math.inf, int)
-    if n > MAX_BLOCK_PHOTONS:
-        raise ValueError(f"n must be at most the photon cutoff {MAX_BLOCK_PHOTONS}, got {n}")
+    n = _checked_number("n", n, 0, MAX_BLOCK_PHOTONS, int)
     return n, _checked_probabilities("eta", eta), _checked_probabilities("dc", dc)
 
 

@@ -3,9 +3,9 @@
 Variable-length decisions: every observation maps to a key length (aborting
 is length zero), with the error-correction allowance f_ec * n_key * h(e_z)
 computed from the observations.  ``key_length_decoy`` composes the decoy
-bounds on the single-photon counts with the mismatch phase-error bound;
-both key-length functions end in the same formula.  Lengths are in bits,
-logs base 2, and non-integer hash lengths are floored (conservative).
+bounds on the single-photon counts with the mismatch phase-error bound.
+Lengths are in bits, logs base 2, and non-integer hash lengths are floored
+(conservative).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "KeyDecision",
     "binary_entropy",
     "lambda_ec_default",
-    "key_length_single_photon",
     "key_length_decoy",
 ]
 
@@ -116,15 +115,6 @@ class KeyDecision:
             raise ValueError("infeasible decisions must carry key_length 0")
 
 
-def _query(
-    e_obs: float, n_test: int, n_key: int, deltas: DeltaPair, budget: EpsilonBudget
-) -> PhaseErrorQuery:
-    """The checked phase-error query of a decision: the budget's sampling
-    epsilons enter squared."""
-    eps = (budget.eps_at_a**2, budget.eps_at_b**2, budget.eps_at_c**2)
-    return PhaseErrorQuery(e_obs, n_test, n_key, deltas, *eps)
-
-
 def _decide(key_bits: float, q: PhaseErrorQuery, budget: EpsilonBudget, lam: float) -> KeyDecision:
     """l = max(0, floor(key_bits (1 - h(B)) - lambda_ec - 2 log2(1/(2 eps_pa))
     - log2(2/eps_ev))), with B the mismatch phase-error bound of ``q``; each
@@ -134,24 +124,6 @@ def _decide(key_bits: float, q: PhaseErrorQuery, budget: EpsilonBudget, lam: flo
     hash_penalties = -2.0 * math.log2(2.0 * budget.eps_pa) + 1.0 - math.log2(budget.eps_ev)
     raw = key_bits * (1.0 - binary_entropy(phase_bound)) - lam - hash_penalties
     return KeyDecision(math.floor(raw) if raw >= 1.0 else 0, lam, phase_bound, feasible=True)
-
-
-def key_length_single_photon(
-    e_obs: float,
-    n_test: int,
-    n_key: int,
-    e_z: float,
-    deltas: DeltaPair,
-    budget: EpsilonBudget,
-    f_ec: float = DEFAULT_EC_EFFICIENCY,
-) -> KeyDecision:
-    """Key length for the single-photon-source protocol: every key round
-    counts, key_bits = n_key."""
-    q = _query(e_obs, n_test, n_key, deltas, budget)
-    lam = lambda_ec_default(q.n_key, e_z, f_ec)
-    if q.n_test < 1 or q.n_key < 1:
-        return KeyDecision(0, lam, 1.0, feasible=False)
-    return _decide(q.n_key, q, budget, lam)
 
 
 def key_length_decoy(
@@ -184,5 +156,6 @@ def key_length_decoy(
     ):
         return KeyDecision(0, lam, 1.0, feasible=False)
     e1_upper = min(1.0, err_upper / test_lower)
-    q = _query(e1_upper, math.floor(test_lower), math.floor(key_lower), deltas, budget)
+    eps = (budget.eps_at_a**2, budget.eps_at_b**2, budget.eps_at_c**2)
+    q = PhaseErrorQuery(e1_upper, math.floor(test_lower), math.floor(key_lower), deltas, *eps)
     return _decide(key_lower, q, budget, lam)

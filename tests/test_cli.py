@@ -309,22 +309,29 @@ def _as_json(value):
 def test_every_output_embeds_its_inputs(config_path, tmp_path):
     # Each output's config is the file's sections plus what its subcommand
     # resolved beyond the file; an observations file is embedded whole.
+    # Every output is standard JSON, which has no Infinity or NaN.
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    def loads(text):
+        return json.loads(text, parse_constant=reject)
+
     def payload(*argv):
         out = tmp_path / "out"
         assert run_cli(*argv, "--config", config_path, "--out", str(out)) == 0
         return out.read_text()
 
     csv = payload("keyrate").splitlines()
-    assert json.loads(csv[0].removeprefix("# config=")) == BASE_CONFIG
-    delta = json.loads(payload("delta", "--nmax", "2"))
+    assert loads(csv[0].removeprefix("# config=")) == BASE_CONFIG
+    delta = loads(payload("delta", "--nmax", "2"))
     assert delta["config"] == {**BASE_CONFIG, "nmax": 2, "seed": 0}
     obs_path = tmp_path / "obs.json"
     obs_path.write_text(payload("simulate", "--seed", "7"))
-    observations = json.loads(obs_path.read_text())
+    observations = loads(obs_path.read_text())
     assert observations["config"] == {**BASE_CONFIG, "loss_db": 0.0, "seed": 7, "mode": "sampled"}
     record = observations["observations"]
     for command in ("decoy", "keyrate"):
-        out = json.loads(payload(command, "--observations", str(obs_path)))
+        out = loads(payload(command, "--observations", str(obs_path)))
         assert out["config"] == {**BASE_CONFIG, "observations": record}
     decision = key_length_decoy(
         Observations(**out["config"]["observations"]),
@@ -334,9 +341,24 @@ def test_every_output_embeds_its_inputs(config_path, tmp_path):
         f_ec=1.16,
     )
     assert _as_json(dataclasses.asdict(decision)).items() <= out.items()
-    verify = json.loads(payload("verify", "--lemma", "serfling", "--trials", "1000", "--seed", "1"))
+    verify = loads(payload("verify", "--lemma", "serfling", "--trials", "1000", "--seed", "1"))
     trials = dataclasses.asdict(TrialConfig(trials=1000, seed=1))
     assert verify["config"] == {**BASE_CONFIG, "verify": _as_json(trials), "lemma": "serfling"}
+
+
+def test_a_non_finite_result_is_a_numeric_failure(tmp_path, capsys):
+    # f_ec = 1e308 is valid, but lambda_ec overflows to inf, which standard
+    # JSON cannot hold: exit 3 naming the field, and nothing is written.
+    cfg_path, obs_path, out = tmp_path / "cfg.json", tmp_path / "obs.json", tmp_path / "out.json"
+    cfg_path.write_text(json.dumps(_with("error_correction", f_ec=1e308)))
+    obs_path.write_text(json.dumps(FULL_RECORD))
+    argv = ["keyrate", "--config", str(cfg_path), "--observations", str(obs_path)]
+    assert run_cli(*argv, "--out", str(out)) == 3
+    assert not out.exists()
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["numeric failure: lambda_ec is not finite; JSON cannot write it"] * 2
 
 
 def test_unwritable_out_exits_2_naming_the_path(config_path, tmp_path, capsys):

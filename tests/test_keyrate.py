@@ -3,18 +3,18 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bb84mm.channel_sim import ChannelSpec, expected_observations
+from bb84mm.channel_sim import ChannelSpec, _class_table, _photon_pmf, expected_observations
 from bb84mm.decoy import DecoyConfig, Observations, OutcomeCounts, decoy_bounds
 from bb84mm.detector_model import DeltaPair, DetectorSpec, closed_form_deltas
 from bb84mm.keyrate import (
     EpsilonBudget,
     binary_entropy,
     key_length_decoy,
-    key_length_single_photon,
     lambda_ec_default,
 )
 from bb84mm.phase_error import PhaseErrorQuery, bound_mismatch
@@ -88,117 +88,12 @@ class TestEpsilonBudget:
         assert EpsilonBudget(eps_pa=1e-200, eps_ev=1e-200).security_parameter() > 0
 
 
-class TestKeyLengthSinglePhoton:
-    def test_vacuous_phase_bound_kills_key(self):
-        out = key_length_single_photon(
-            0.5, 10**6, 10**6, 0.01, DeltaPair.zero(), BUDGET
-        )
-        assert out.key_length == 0
-        assert out.phase_bound >= 0.5
-
-    def test_reference_golden(self):
-        budget = EpsilonBudget.equal(1e-12)
-        out = key_length_single_photon(
-            0.01, 10**6, 10**6, 0.01, DeltaPair.zero(), budget
-        )
-        assert 0 < out.key_length < 10**6
-        # Frozen from the first verified run.
-        assert out.key_length == 761849
-        assert out.phase_bound == pytest.approx(2.0513048796e-2, rel=1e-6)
-
-    def test_manual_formula_identity(self):
-        e, n, ez = 0.01, 10**6, 0.01
-        b = bound_mismatch(
-            PhaseErrorQuery(
-                e_obs=e,
-                n_test=n,
-                n_key=n,
-                deltas=DeltaPair.zero(),
-                eps_a_sq=1e-24,
-                eps_b_sq=1e-24,
-                eps_c_sq=1e-24,
-            )
-        )
-        expect = math.floor(
-            n * (1 - binary_entropy(b.value))
-            - lambda_ec_default(n, ez)
-            - 2 * math.log2(1 / (2e-12))
-            - math.log2(2 / 1e-12)
-        )
-        out = key_length_single_photon(e, n, n, ez, DeltaPair.zero(), BUDGET)
-        assert out.key_length == expect
-
-    def test_monotone_in_eps_pa(self):
-        loose = EpsilonBudget(1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-6)
-        tight = EpsilonBudget(1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-15)
-        args = (0.01, 10**6, 10**6, 0.01, DeltaPair.zero())
-        assert (
-            key_length_single_photon(*args, loose).key_length
-            >= key_length_single_photon(*args, tight).key_length
-        )
-
-    @pytest.mark.parametrize(
-        "budget, f_ec, cost",
-        [
-            (BUDGET, 1e308, math.inf),
-            (EpsilonBudget(eps_pa=1e-320), 1.16, 2 * math.log2(1e-12 / 1e-320)),
-            (EpsilonBudget(eps_ev=1e-320), 1.16, math.log2(1e-12 / 1e-320)),
-        ],
-        ids=["f_ec-1e308", "eps_pa-1e-320", "eps_ev-1e-320"],
-    )
-    def test_extreme_in_range_inputs_decide(self, budget, f_ec, cost):
-        # lambda_ec overflows to inf at f_ec = 1e308, and 1 / (2 eps) at
-        # eps = 1e-320; each costs its bits, and an infinite cost leaves 0.
-        args = (0.01, 1000, 10**6, 0.02, DeltaPair.zero())
-        base = key_length_single_photon(*args, BUDGET).key_length
-        out = key_length_single_photon(*args, budget, f_ec=f_ec)
-        assert out.feasible
-        assert abs(out.key_length - max(0.0, base - cost)) <= 1
-
-    def test_zero_counts(self):
-        out = key_length_single_photon(0.0, 0, 10**6, 0.0, DeltaPair.zero(), BUDGET)
-        assert out.key_length == 0
-        assert not out.feasible
-
-    def test_length_bounded_by_n_key(self):
-        out = key_length_single_photon(0.0, 10**6, 10**6, 0.0, DeltaPair.zero(), BUDGET)
-        assert 0 < out.key_length <= 10**6
-
-    def test_monotone_in_every_scalar_argument(self):
-        base = key_length_single_photon(
-            0.02, 10**6, 10**6, 0.02, DeltaPair(0.004, 0.002), BUDGET
-        ).key_length
-
-        def length(e_obs=0.02, n_test=10**6, n_key=10**6, e_z=0.02, d1=0.004, d2=0.002):
-            return key_length_single_photon(
-                e_obs, n_test, n_key, e_z, DeltaPair(d1, d2), BUDGET
-            ).key_length
-
-        assert length(n_test=2 * 10**6) >= base
-        assert length(n_key=2 * 10**6) >= base
-        assert length(e_obs=0.03) <= base
-        assert length(e_z=0.03) <= base
-        assert length(d1=0.008) <= base
-        assert length(d2=0.004) <= base
-
-    def test_f_ec_reaches_lambda_ec(self):
-        args = (0.01, 10**6, 10**6, 0.01, DeltaPair.zero(), BUDGET)
-        default = key_length_single_photon(*args)
-        assert default.lambda_ec == lambda_ec_default(10**6, 0.01)
-        costly = key_length_single_photon(*args, f_ec=1.5)
-        assert costly.lambda_ec == lambda_ec_default(10**6, 0.01, 1.5)
-        assert costly.key_length < default.key_length
-        obs = expected_observations(ChannelSpec.reference(loss_db=5.0), DecoyConfig.reference())
-        decision = key_length_decoy(obs, DecoyConfig.reference(), DeltaPair.zero(), BUDGET, f_ec=1.5)
-        assert decision.lambda_ec == lambda_ec_default(sum(obs.n_k), obs.e_z, 1.5)
-
-
 class TestKeyLengthDecoy:
     CFG = DecoyConfig.reference()
 
-    def _obs(self, loss_db=5.0):
+    def _obs(self, loss_db=5.0, n_total=10**12):
         return expected_observations(
-            ChannelSpec.reference(loss_db=loss_db, n_total=10**12), self.CFG
+            ChannelSpec.reference(loss_db=loss_db, n_total=n_total), self.CFG
         )
 
     def test_zero_observations(self):
@@ -225,6 +120,43 @@ class TestKeyLengthDecoy:
         one_pct = key_length_decoy(obs, self.CFG, deltas, BUDGET)
         assert one_pct.key_length == 1687039082
         assert one_pct.phase_bound == pytest.approx(4.2394253310e-2, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "budget, f_ec, cost",
+        [
+            (EpsilonBudget(eps_pa=1e-6), 1.16, 2 * math.log2(1e-12 / 1e-6)),
+            (EpsilonBudget(eps_pa=1e-15), 1.16, 2 * math.log2(1e-12 / 1e-15)),
+            (BUDGET, 1e308, math.inf),
+            (EpsilonBudget(eps_pa=1e-320), 1.16, 2 * math.log2(1e-12 / 1e-320)),
+            (EpsilonBudget(eps_ev=1e-320), 1.16, math.log2(1e-12 / 1e-320)),
+        ],
+        ids=["eps_pa-1e-6", "eps_pa-1e-15", "f_ec-1e308", "eps_pa-1e-320", "eps_ev-1e-320"],
+    )
+    def test_hash_and_ec_inputs_cost_their_bits(self, budget, f_ec, cost):
+        # eps_pa and eps_ev enter only the hash penalties, so the key moves
+        # by exactly their bits.  lambda_ec overflows to inf at f_ec = 1e308,
+        # and 1 / (2 eps) at eps = 1e-320; an infinite cost leaves 0.
+        obs = self._obs(loss_db=20.0)
+        base = key_length_decoy(obs, self.CFG, DeltaPair.zero(), BUDGET).key_length
+        out = key_length_decoy(obs, self.CFG, DeltaPair.zero(), budget, f_ec=f_ec)
+        assert out.feasible
+        assert abs(out.key_length - max(0.0, base - cost)) <= 1
+
+    def test_f_ec_reaches_lambda_ec(self):
+        obs = self._obs()
+        default = key_length_decoy(obs, self.CFG, DeltaPair.zero(), BUDGET)
+        costly = key_length_decoy(obs, self.CFG, DeltaPair.zero(), BUDGET, f_ec=1.5)
+        assert costly.lambda_ec == lambda_ec_default(sum(obs.n_k), obs.e_z, 1.5)
+        assert costly.key_length < default.key_length
+
+    def test_non_decreasing_in_n_total(self):
+        for loss_db in (0.0, 20.0, 40.0):
+            lengths = [
+                key_length_decoy(self._obs(loss_db, 10**k), self.CFG, DeltaPair.zero(), BUDGET).key_length
+                for k in range(8, 17)
+            ]
+            assert lengths == sorted(lengths)
+            assert lengths[-1] > 0
 
     def test_zero_dark_floor_gives_zero_key(self):
         with pytest.warns(UserWarning):
@@ -290,6 +222,11 @@ class TestKeyLengthDecoy:
         more = key_length_decoy(bumped, self.CFG, DeltaPair.zero(), BUDGET)
         assert more.phase_bound >= base.phase_bound
         assert more.key_length <= base.key_length
+        # Half the X rounds in error on every intensity: the bound is vacuous.
+        vacuous = dataclasses.replace(obs, e_x=(0.5, 0.5, 0.5))
+        out = key_length_decoy(vacuous, self.CFG, DeltaPair.zero(), BUDGET)
+        assert out.key_length == 0
+        assert out.phase_bound >= 0.5
 
     def test_monotone_in_mismatch(self):
         obs = self._obs()
@@ -321,6 +258,44 @@ class TestKeyLengthDecoy:
         assert length(o=dataclasses.replace(obs, e_z=min(1.0, e_z + e_z_bump))) <= base
         assert length(de=eta_hi) <= base
         assert length(dd=dc_hi) <= base
+
+    @settings(max_examples=200)
+    @given(
+        loss_db=st.floats(0.0, 50.0),
+        theta=st.floats(0.0, 10.0),
+        eta_det=st.floats(0.05, 0.9),
+        d_det=st.just(0.0) | st.floats(-9.0, -3.0).map(lambda x: 10.0**x),
+        p_z=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.floats(0.01, 0.5)),
+        mus=st.tuples(st.floats(0.0, 0.01), st.floats(0.01, 0.3), st.floats(0.2, 1.0)),
+        weights=st.tuples(*[st.floats(0.01, 1.0)] * 3),
+        tol=st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
+        log_n=st.floats(8.0, 24.0),
+        log_eps=st.tuples(*[st.floats(-20.0, -3.0)] * 6),
+        f_ec=st.floats(1.0, 1.5),
+    )
+    def test_never_exceeds_the_true_single_photon_key(
+        self, loss_db, theta, eta_det, d_det, p_z, mus, weights, tol, log_n, log_eps, f_ec
+    ):
+        # The whole pipeline on an expected record never promises more than
+        # the honest channel's true single-photon key, n1_key (1 - h(e1))
+        # - lambda_ec - hash penalties, with n1_key and e1 read from the
+        # fixed-m class table, whatever the channel, decoys and tolerances.
+        mu3, gap2, gap1 = mus
+        cfg = DecoyConfig(
+            (2 * mu3 + gap2 + gap1, mu3 + gap2, mu3), tuple(w / sum(weights) for w in weights)
+        )
+        ch = ChannelSpec(
+            10.0 ** (-loss_db / 10.0), theta, DetectorSpec(eta_det, d_det), int(10.0**log_n), *p_z
+        )
+        budget = EpsilonBudget(*(10.0**e for e in log_eps))
+        deltas = closed_form_deltas(DetectorSpec(eta_det, d_det, *tol))
+        out = key_length_decoy(expected_observations(ch, cfg), cfg, deltas, budget, f_ec)
+
+        single = ch.n_total * float(np.dot(cfg.probabilities, _photon_pmf(cfg)[:, 1])) * _class_table(ch)[1]
+        x_err, x_ok, n1_key = single[:3]
+        hash_penalties = 2 * math.log2(1 / (2 * budget.eps_pa)) + math.log2(2 / budget.eps_ev)
+        ceiling = n1_key * (1 - binary_entropy(x_err / (x_err + x_ok))) - out.lambda_ec - hash_penalties
+        assert out.key_length <= max(0.0, ceiling)
 
 
 _VALID = {

@@ -433,8 +433,6 @@ ARGUMENTS = [
      {"n_test": POSITIVE, "n_key": POSITIVE, "eps_sq": EPS_CLOSED}),
     (hoeffding_decoy_dev, {"n_outcome": 10.0, "eps_sq": 1e-10},
      {"n_outcome": (0.0, math.inf, float, "[]"), "eps_sq": EPS_DECOY}),
-    (decoy.photon_given_intensity, {"m": 1, "mu": 0.5},
-     {"m": COUNT, "mu": (0.0, math.inf, float, "[]")}),
     (decoy.tau, {"m": 1, "cfg": _CFG}, {"m": COUNT}),
     (decoy.intensity_given_photon, {"m": 1, "cfg": _CFG}, {"m": COUNT}),
     *((f, {"counts": _COUNTS, "cfg": _CFG, "eps_sq": 1e-10}, {"eps_sq": EPS_DECOY})
@@ -443,9 +441,6 @@ ARGUMENTS = [
     (keyrate.binary_entropy, {"x": 0.1}, {"x": UNIT}),
     (keyrate.lambda_ec_default, {"n_key": 100.0, "e_z": 0.1, "f_ec": 1.16},
      {"n_key": (0.0, math.inf, float, "[]"), "e_z": UNIT, "f_ec": F_EC}),
-    (keyrate.key_length_single_photon,
-     {"e_obs": 0.02, "n_test": 10**4, "n_key": 10**5, "e_z": 0.02, **_DECISION},
-     {"e_obs": UNIT, "n_test": COUNT, "n_key": COUNT, "e_z": UNIT, "f_ec": F_EC}),
     (keyrate.key_length_decoy,
      {"obs": expected_observations(ChannelSpec.reference(10.0), _CFG), "cfg": _CFG, **_DECISION},
      {"f_ec": F_EC}),
