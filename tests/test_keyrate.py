@@ -222,11 +222,6 @@ class TestKeyLengthDecoy:
         more = key_length_decoy(bumped, self.CFG, DeltaPair.zero(), BUDGET)
         assert more.phase_bound >= base.phase_bound
         assert more.key_length <= base.key_length
-        # Half the X rounds in error on every intensity: the bound is vacuous.
-        vacuous = dataclasses.replace(obs, e_x=(0.5, 0.5, 0.5))
-        out = key_length_decoy(vacuous, self.CFG, DeltaPair.zero(), BUDGET)
-        assert out.key_length == 0
-        assert out.phase_bound >= 0.5
 
     def test_monotone_in_mismatch(self):
         obs = self._obs()
@@ -296,6 +291,19 @@ class TestKeyLengthDecoy:
         hash_penalties = 2 * math.log2(1 / (2 * budget.eps_pa)) + math.log2(2 / budget.eps_ev)
         ceiling = n1_key * (1 - binary_entropy(x_err / (x_err + x_ok))) - out.lambda_ec - hash_penalties
         assert out.key_length <= max(0.0, ceiling)
+
+
+class TestKeyLengthSinglePhoton:
+    """The single-photon phase-error term of key_length_decoy."""
+
+    def test_vacuous_phase_bound_kills_key(self):
+        cfg = DecoyConfig.reference()
+        obs = expected_observations(ChannelSpec.reference(loss_db=10.0, n_total=10**12), cfg)
+        # Half the X rounds in error on every intensity: the bound is vacuous.
+        vacuous = dataclasses.replace(obs, e_x=(0.5, 0.5, 0.5))
+        out = key_length_decoy(vacuous, cfg, DeltaPair.zero(), BUDGET)
+        assert out.key_length == 0
+        assert out.phase_bound >= 0.5
 
 
 _VALID = {
