@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,14 @@ class DecoyConfig(_Record):
     def reference(cls) -> "DecoyConfig":
         """Three equiprobable intensities 0.9 / 0.1 / 0 (vacuum decoy)."""
         return cls(intensities=(0.9, 0.1, 0.0), probabilities=(1 / 3, 1 / 3, 1 / 3))
+
+    @cached_property
+    def _bound_constants(self) -> tuple[list[float], float, float]:
+        """(exp(mu_k)/p_k per intensity, tau_0, tau_1): what the bounds need
+        of the config, computed on first use and kept on the instance (not a
+        field, so equality, hashing and ``asdict`` ignore it)."""
+        scale = np.exp(self.intensities) / np.asarray(self.probabilities)
+        return scale.tolist(), tau(0, self), tau(1, self)
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,20 @@ def intensity_given_photon(m: int, cfg: DecoyConfig) -> np.ndarray:
     return w / t
 
 
+def _shift(
+    counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float, total: float
+) -> tuple[list[float], list[float]]:
+    """The Hoeffding shift of ``shifted_counts`` as plain floats; ``total``
+    is ``counts.total``.  ``max(v, 0.0)`` keeps a NaN or -0.0 as
+    ``np.maximum(0.0, v)`` does."""
+    t = hoeffding_decoy_dev(total, eps_sq)
+    n = [float(c) for c in counts.counts]
+    scale = cfg._bound_constants[0]
+    plus = [s * (c + t) for s, c in zip(scale, n)]
+    minus = [max(s * (c - t), 0.0) for s, c in zip(scale, n)]
+    return plus, minus
+
+
 def shifted_counts(
     counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +187,8 @@ def shifted_counts(
     Each observed count is widened by the deviation term for the outcome
     total, then rescaled by exp(mu_k)/p_k; the minus branch is clamped at 0.
     """
-    t = hoeffding_decoy_dev(counts.total, eps_sq)
-    n = np.asarray(counts.counts, dtype=float)
-    scale = np.exp(cfg.intensities) / np.asarray(cfg.probabilities)
-    plus = scale * (n + t)
-    minus = np.maximum(0.0, scale * (n - t))
-    return plus, minus
+    plus, minus = _shift(counts, cfg, eps_sq, counts.total)
+    return np.array(plus), np.array(minus)
 
 
 def decoy_bounds(
@@ -178,11 +197,12 @@ def decoy_bounds(
     """(zero-photon lower, one-photon lower, one-photon upper) bounds on the
     outcome class, from one Hoeffding shift of its per-intensity counts."""
     mu1, mu2, mu3 = cfg.intensities
-    plus, minus = (v.tolist() for v in shifted_counts(counts, cfg, eps_sq))
-    tau0, tau1 = tau(0, cfg), tau(1, cfg)
+    total = counts.total
+    plus, minus = _shift(counts, cfg, eps_sq, total)
+    _, tau0, tau1 = cfg._bound_constants
 
     def clamp(raw: float) -> float:
-        return float(min(counts.total, max(0.0, raw)))
+        return float(min(total, max(0.0, raw)))
 
     vac = clamp(tau0 * (mu2 * minus[2] - mu3 * plus[1]) / (mu2 - mu3))
     denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2

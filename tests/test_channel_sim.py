@@ -5,6 +5,7 @@ here brute-forces the same physics by enumerating photon numbers m <= 20,
 channel survivals, mode splits, and the four click patterns.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bb84mm import channel_sim, decoy
 from bb84mm.channel_sim import (
     ChannelSpec,
     PHOTON_CUTOFF,
@@ -24,11 +26,16 @@ from bb84mm.channel_sim import (
 )
 from bb84mm.decoy import (
     DecoyConfig,
+    OutcomeCounts,
     bound_single_lower,
     bound_single_upper,
     bound_vacuum_lower,
+    decoy_bounds,
+    intensity_given_photon,
+    tau,
 )
-from bb84mm.detector_model import DetectorSpec
+from bb84mm.detector_model import DetectorSpec, closed_form_deltas
+from bb84mm.keyrate import EpsilonBudget, key_length_decoy
 
 
 def outcome_probs_oracle(mu, eta_ch, theta_rad, eta_det, d_det, m_max=20):
@@ -197,7 +204,8 @@ class TestSampleObservations:
         # mu1 = 20 puts 1.3 % of its mass above the top photon bucket.
         ch = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
         assert sample_observations(ch, DecoyConfig((4.7, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)), seed=0)
-        for mu1 in (4.8, 20.0):
+        # 4.8 twice: the pmf is kept per config, a rejection is not.
+        for mu1 in (4.8, 4.8, 20.0):
             with pytest.raises(ValueError, match="intensities"):
                 sample_observations(ch, DecoyConfig((mu1, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)), seed=0)
 
@@ -234,6 +242,61 @@ class TestSampleObservations:
         assert tags.x.sum() == pytest.approx(sum(obs.n_x))
         assert tags.x_err.sum() == pytest.approx(sum(n * e for n, e in zip(obs.n_x, obs.e_x)))
         assert tags.k.sum() == pytest.approx(sum(obs.n_k))
+
+
+class TestPerConfigConstants:
+    """What depends only on the DecoyConfig is computed once per config and
+    shared by equal configs; the config itself does not change."""
+
+    ARGS = ((0.6, 0.2, 0.0), (0.5, 0.3, 0.2))
+    CH = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
+
+    def test_photon_pmf_is_read_only(self):
+        pmf = _photon_pmf(DecoyConfig(*self.ARGS))
+        with pytest.raises(ValueError, match="read-only"):
+            pmf[0, 0] = 0.5
+
+    def test_equal_configs_give_equal_results(self):
+        a, b = DecoyConfig(*self.ARGS), DecoyConfig(*self.ARGS)
+        assert a is not b
+        assert np.array_equal(_photon_pmf(a), _photon_pmf(b))
+        for seed in (0, 5):
+            assert sample_observations(self.CH, a, seed=seed) == sample_observations(self.CH, b, seed=seed)
+
+    def test_bounds_leave_the_config_unchanged(self):
+        cfg, fresh = DecoyConfig(*self.ARGS), DecoyConfig(*self.ARGS)
+        decoy_bounds(OutcomeCounts((1e6, 2e5, 1e4)), cfg, 1e-24)
+        assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(fresh)
+
+    def test_warm_decisions_and_runs_evaluate_no_poisson_mass(self, monkeypatch):
+        # A count, not a timing: once a config has been used, a decision and
+        # a sampled run on it recompute none of its photon statistics.
+        calls = []
+
+        def counted(m, mu):
+            calls.append((m, mu))
+            return poisson(m, mu)
+
+        poisson = decoy._poisson
+        monkeypatch.setattr(decoy, "_poisson", counted)
+        monkeypatch.setattr(channel_sim, "_poisson", counted)
+        cfg = DecoyConfig(*self.ARGS)
+        deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01))
+        budget = EpsilonBudget.equal(1e-12)
+        obs, _ = sample_observations(self.CH, cfg, seed=1, with_tags=True)
+        key_length_decoy(obs, cfg, deltas, budget)
+        calls.clear()
+        key_length_decoy(obs, cfg, deltas, budget)
+        sample_observations(self.CH, cfg, seed=2, with_tags=True)
+        assert calls == []
+        # tau and intensity_given_photon still check m and evaluate the pmf.
+        tau(1, cfg)
+        intensity_given_photon(1, cfg)
+        assert len(calls) == 6
+        for f in (tau, intensity_given_photon):
+            with pytest.raises(ValueError, match="^m must"):
+                f(-1, cfg)
 
 
 def test_channel_spec_validation():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bb84mm.channel_sim import ChannelSpec, sample_observations
@@ -24,6 +24,21 @@ from bb84mm.decoy import (
 from bb84mm.stat_bounds import hoeffding_decoy_dev
 
 CFG = DecoyConfig.reference()
+
+
+@st.composite
+def valid_configs(draw):
+    """Random valid configs: mu1 > mu2 + mu3, mu2 > mu3 >= 0, 1e-6 <= mu1 <=
+    100, and probabilities of at least about 1e-6 summing to 1.  (Below
+    mu1 ~ 1e-154 the one-photon bound's denominator underflows to 0.)"""
+    mu1 = draw(st.floats(1e-6, 100.0))
+    mu2 = mu1 * draw(st.floats(0.01, 0.99))
+    mu3 = draw(st.just(0.0) | st.floats(0.0, 0.99).map(lambda f: min(mu2, mu1 - mu2) * f))
+    assume(mu1 > mu2 + mu3 and mu2 > mu3)
+    w1, w2, w3 = draw(st.tuples(*[st.floats(1e-6, 1.0)] * 3))
+    p1, p2 = w1 / (w1 + w2 + w3), w2 / (w1 + w2 + w3)
+    assume(1.0 - p1 - p2 > 0.0)
+    return DecoyConfig((mu1, mu2, mu3), (p1, p2, 1.0 - p1 - p2))
 
 
 class TestConfig:
@@ -150,6 +165,35 @@ class TestAnalyticBounds:
             bound_single_lower(c, cfg, eps_sq),
             bound_single_upper(c, cfg, eps_sq),
         )
+
+    @given(
+        cfg=valid_configs(),
+        counts=st.tuples(*[st.floats(0.0, 1e24) | st.integers(0, 10**24)] * 3),
+        eps_sq=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_bounds_match_the_checked_closed_form(self, cfg, counts, eps_sq):
+        # The constants decoy_bounds keeps per config are, to the last bit,
+        # the ones the public checked functions compute, and the shift is
+        # the numpy expression it replaced.
+        c = OutcomeCounts(counts)
+        plus, minus = shifted_counts(c, cfg, eps_sq)
+        scale = np.exp(cfg.intensities) / np.asarray(cfg.probabilities)
+        n, t = np.asarray(counts, dtype=float), hoeffding_decoy_dev(c.total, eps_sq)
+        np.testing.assert_array_equal([plus, minus], [scale * (n + t), np.maximum(0.0, scale * (n - t))])
+        plus, minus = plus.tolist(), minus.tolist()
+        tau0, tau1 = tau(0, cfg), tau(1, cfg)
+        mu1, mu2, mu3 = cfg.intensities
+
+        def clamp(raw):
+            return float(min(c.total, max(0.0, raw)))
+
+        vac = clamp(tau0 * (mu2 * minus[2] - mu3 * plus[1]) / (mu2 - mu3))
+        lower = clamp(
+            (mu1 * tau1 / (mu1 * (mu2 - mu3) - mu2**2 + mu3**2))
+            * (minus[1] - plus[2] - (mu2**2 - mu3**2) / mu1**2 * (plus[0] - vac / tau0))
+        )
+        upper = clamp(tau1 * (plus[1] - minus[2]) / (mu2 - mu3))
+        assert decoy_bounds(c, cfg, eps_sq) == (vac, lower, upper)
 
     def test_upper_bound_monotone_in_counts(self):
         base = OutcomeCounts((1e6, 1e6, 1e5))
