@@ -42,7 +42,11 @@ __all__ = [
 @dataclass(frozen=True)
 class DecoyConfig(_Record):
     """Intensities mu1 > mu2 + mu3, mu2 > mu3 >= 0, each at most 100 (the
-    bounds' exp(mu) stays far from overflow), and their probabilities."""
+    bounds' exp(mu) stays far from overflow), and their probabilities.  The
+    one-photon lower bound's two divisors, as ``decoy_bounds`` forms them in
+    floating point, must come out positive: they underflow to 0 below mu1 of
+    about 1e-154, and rounding can make the first 0 or negative when mu1 is
+    within a few ulps of mu2 + mu3."""
 
     intensities: tuple[float, float, float]
     probabilities: tuple[float, float, float]
@@ -56,6 +60,12 @@ class DecoyConfig(_Record):
             raise ValueError(
                 f"intensities must satisfy mu1 > mu2 + mu3 and mu2 > mu3 >= 0, "
                 f"got {self.intensities}"
+            )
+        if min(_single_photon_divisors(mu1, mu2, mu3)) <= 0.0:
+            raise ValueError(
+                f"intensities must keep the one-photon bound's divisors "
+                f"mu1(mu2 - mu3) - mu2^2 + mu3^2 and mu1^2 positive in floating "
+                f"point, got {self.intensities}"
             )
         if abs(sum(self.probabilities) - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {self.probabilities}")
@@ -137,6 +147,12 @@ class Observations(_Record):
         return OutcomeCounts(tuple(self.n_k))
 
 
+def _single_photon_divisors(mu1: float, mu2: float, mu3: float) -> tuple[float, float]:
+    """mu1(mu2 - mu3) - mu2^2 + mu3^2 and mu1^2, the divisors of the
+    one-photon lower bound, as ``decoy_bounds`` forms them."""
+    return mu1 * (mu2 - mu3) - mu2**2 + mu3**2, mu1**2
+
+
 def _poisson(m: int, mu: float) -> float:
     """Poisson mass p(m | mu) = exp(-mu) mu^m / m!, the module's one pmf.
     Unchecked: callers pass an integer m >= 0 and a finite mu >= 0."""
@@ -205,10 +221,10 @@ def decoy_bounds(
         return float(min(total, max(0.0, raw)))
 
     vac = clamp(tau0 * (mu2 * minus[2] - mu3 * plus[1]) / (mu2 - mu3))
-    denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
+    denom, mu1_sq = _single_photon_divisors(mu1, mu2, mu3)
     single_lower = clamp(
         (mu1 * tau1 / denom)
-        * (minus[1] - plus[2] - (mu2**2 - mu3**2) / mu1**2 * (plus[0] - vac / tau0))
+        * (minus[1] - plus[2] - (mu2**2 - mu3**2) / mu1_sq * (plus[0] - vac / tau0))
     )
     single_upper = clamp(tau1 * (plus[1] - minus[2]) / (mu2 - mu3))
     return vac, single_lower, single_upper

@@ -242,6 +242,8 @@ BOUNDARY_CASES = {
     "keyrate-two-probabilities": ("keyrate", _with("decoy", probabilities=[0.5, 0.5]), None, "probabilities"),
     "simulate-two-probabilities": ("simulate", _with("decoy", probabilities=[0.5, 0.5]), None, "probabilities"),
     "verify-two-probabilities": ("verify", _with("decoy", probabilities=[0.5, 0.5]), None, "probabilities"),
+    # intensities whose one-photon bound divides by zero (used to exit 3)
+    "keyrate-intensities-1e-200": ("keyrate", _with("decoy", intensities=[1e-200, 5e-201, 0]), None, "intensities"),
     "keyrate-2-n_x": ("keyrate", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6]), "n_x"),
     "keyrate-4-n_x": ("keyrate", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6, 1e5, 1e5]), "n_x"),
     "decoy-2-n_x": ("decoy", BASE_CONFIG, dict(FULL_RECORD, n_x=[9e5, 1e6]), "n_x"),

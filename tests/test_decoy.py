@@ -30,7 +30,8 @@ CFG = DecoyConfig.reference()
 def valid_configs(draw):
     """Random valid configs: mu1 > mu2 + mu3, mu2 > mu3 >= 0, 1e-6 <= mu1 <=
     100, and probabilities of at least about 1e-6 summing to 1.  (Below
-    mu1 ~ 1e-154 the one-photon bound's denominator underflows to 0.)"""
+    mu1 ~ 1e-154 the one-photon bound's denominator underflows to 0 and
+    ``DecoyConfig`` rejects the config.)"""
     mu1 = draw(st.floats(1e-6, 100.0))
     mu2 = mu1 * draw(st.floats(0.01, 0.99))
     mu3 = draw(st.just(0.0) | st.floats(0.0, 0.99).map(lambda f: min(mu2, mu1 - mu2) * f))
@@ -51,6 +52,26 @@ class TestConfig:
             DecoyConfig((0.9, 0.1, 0.0), (0.5, 0.5, 0.0))
         with pytest.raises(ValueError):
             DecoyConfig((0.9, 0.1, 0.0), (0.5, 0.4, 0.2))
+
+    @pytest.mark.parametrize(
+        "intensities",
+        [
+            (1.62e-261, 1e-261, 0.0),
+            (2e-162, 1e-162, 0.0),
+            (1.059798765666097, 0.8340674769294725, 0.22573128873662437),
+        ],
+        ids=["mu1_squared_underflows", "denominator_underflows", "denominator_rounds_negative"],
+    )
+    def test_rejects_intensities_the_one_photon_bound_cannot_divide_by(self, intensities):
+        # The ordering rule admits all three.  decoy_bounds divided by zero on
+        # the first two; on the third (mu1 one ulp above mu2 + mu3) the rounded
+        # denominator is negative, the one-photon lower bound flips sign and
+        # clamps to the class total, and the reference 10 dB channel got a
+        # positive key where a slightly larger mu1 gives none.
+        mu1, mu2, mu3 = intensities
+        assert mu1 > mu2 + mu3 and mu2 > mu3
+        with pytest.raises(ValueError, match=r"^intensities must keep the one-photon bound's divisors"):
+            DecoyConfig(intensities, (1 / 3, 1 / 3, 1 / 3))
 
 
 class TestPhotonStatistics:

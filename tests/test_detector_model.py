@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bb84mm.detector_model import (
+    EIGEN_TOL,
     MAX_BLOCK_PHOTONS,
     DeltaPair,
     DetectorSpec,
@@ -17,6 +18,8 @@ from bb84mm.detector_model import (
     build_block_povms,
     closed_form_deltas,
     _box_points,
+    _delta1_bound,
+    _delta_parts,
     _orbit_rows,
     mode_rotation_unitary,
     oracle_deltas,
@@ -271,7 +274,7 @@ class TestOracleDeltas:
         d_det=st.one_of(st.just(0.0), st.floats(1e-9, 1e-3)),
         delta_eta=st.floats(0.0, 0.05),
         delta_dc=st.floats(0.0, 0.05),
-        n_max=st.integers(1, 6),
+        n_max=st.integers(1, MAX_BLOCK_PHOTONS),
         interior_samples=st.integers(0, 4),
         seed=st.integers(0, 2**16),
     )
@@ -427,6 +430,88 @@ class TestOracleDeltas:
         d = oracle_deltas(spec, seed=seed)
         assert abs(d.delta1 - max(d1.max() for d1, _ in full)) <= 1e-15
         assert abs(d.delta2 - max(d2.max() for _, d2 in full)) <= 1e-15
+
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(0, MAX_BLOCK_PHOTONS),
+        rows=st.lists(
+            st.tuples(
+                st.tuples(*[st.just(0.0) | st.floats(0.0, 1.0)] * 4),
+                st.tuples(*[st.just(0.0) | st.floats(1e-12, 0.5, exclude_max=True)] * 4),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_delta1_bound_dominates_every_row(self, n, rows):
+        # oracle_deltas skips a row whose slackened bound cannot beat the
+        # maximum found so far, so the inequality must hold on every row:
+        # renormalized efficiencies, blind detectors (a row of four becomes
+        # all ones) and rows of four equal efficiencies.
+        points = np.array([(e[:1] * 4 if equal else e) + d for e, d, equal in rows])
+        eta, dc = _orbit_rows(points)
+        d1, _ = block_deltas(n, eta, dc)
+        _, spectra = _delta_parts(n, eta, dc)
+        assert np.all(d1 <= _delta1_bound(*spectra) * (1.0 + 1e-9) + EIGEN_TOL)
+
+    @settings(max_examples=40)
+    @given(
+        eta_det=st.floats(0.05, 0.95),
+        d_det=st.just(0.0) | st.floats(1e-9, 3e-2),
+        eta_room=st.just(0.0) | st.floats(0.0, 1.0),
+        delta_dc=st.just(0.0) | st.floats(0.0, 0.9),
+        n_max=st.integers(1, 20),
+        interior_samples=st.sampled_from([0, 1, 16]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pruned_oracle_equals_the_unpruned_maximum(
+        self, eta_det, d_det, eta_room, delta_dc, n_max, interior_samples, seed
+    ):
+        # Skipping the rows whose bound cannot win leaves the result
+        # bit-identical to solving every block on every orbit row.
+        spec = DetectorSpec(eta_det, d_det, eta_room * min(1.0, 1.0 / eta_det - 1.0), delta_dc)
+        eta, dc = _orbit_rows(_box_points(spec, interior_samples, seed))
+        per_block = [block_deltas(n, eta, dc) for n in range(n_max + 1)]
+        expect = DeltaPair(
+            min(4.0, max(float(d1.max()) for d1, _ in per_block)),
+            min(1.0, max(float(d2.max()) for _, d2 in per_block)),
+        )
+        assert oracle_deltas(spec, n_max, interior_samples, seed) == expect
+
+    @staticmethod
+    def _solves(monkeypatch) -> list:
+        """Shapes (rows, 2, N+1, N+1) of every eigvalsh call from now on."""
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(mat):
+            shapes.append(mat.shape)
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return shapes
+
+    @pytest.mark.parametrize("d_det", [1e-6, 1e-4])
+    @pytest.mark.parametrize("tol", [0.005, 0.01, 0.02, 0.05])
+    def test_delta_defaults_solve_only_blocks_0_and_1(self, monkeypatch, tol, d_det):
+        # Solving every block would take 11 calls on 1,177 rows (107 orbit
+        # rows per block); past N = 1 no row's bound reaches the maximum.
+        shapes = self._solves(monkeypatch)
+        oracle_deltas(DetectorSpec(0.7, d_det, tol, tol))
+        assert [shape[-1] - 1 for shape in shapes] == [0, 1]
+        assert sum(shape[0] for shape in shapes) <= 204
+
+    @pytest.mark.parametrize("interior_samples", [0, 16])
+    def test_photon_cap_adds_no_solves(self, monkeypatch, interior_samples):
+        shapes = self._solves(monkeypatch)
+        spec = DetectorSpec(0.7, 1e-6, 0.01, 0.01)
+        oracle_deltas(spec, n_max=10, interior_samples=interior_samples)
+        at_10 = shapes[:]
+        shapes.clear()
+        oracle_deltas(spec, n_max=MAX_BLOCK_PHOTONS, interior_samples=interior_samples)
+        assert len(shapes) <= len(at_10)
+        assert sum(shape[0] for shape in shapes) <= sum(shape[0] for shape in at_10)
 
     def test_failed_eigen_solve_names_its_block(self, monkeypatch):
         def fail(_):
