@@ -21,19 +21,18 @@ silence differs between the two uses:
 ``sample_observations`` draws a full protocol run in three aggregate
 multinomials over (intensity, source photon number, outcome class) with the
 fixed-m law, optionally keeping the per-photon-number tags the decoy Monte
-Carlo tests need.
+Carlo tests need.  The source photon-number pmf it draws from depends only
+on the decoy config, so it is a cached property of ``DecoyConfig``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc
 
-from bb84mm.decoy import DecoyConfig, Observations, _poisson
+from bb84mm.decoy import PHOTON_CUTOFF, DecoyConfig, Observations
 from bb84mm.detector_model import DetectorSpec
 from bb84mm.stat_bounds import _checked_number, _Record
 
@@ -43,13 +42,6 @@ __all__ = [
     "expected_observations",
     "sample_observations",
 ]
-
-# Source photon numbers above this are lumped into the top bucket; at
-# mu <= 1 the Poisson tail mass beyond 30 is < 1e-34.
-PHOTON_CUTOFF = 30
-# Largest Poisson mass above PHOTON_CUTOFF the sampler accepts (reached
-# near mu = 4.7).
-MAX_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -183,22 +175,6 @@ def _class_table(ch: ChannelSpec) -> np.ndarray:
     return np.column_stack([table, np.maximum(0.0, 1.0 - table.sum(axis=1))])
 
 
-@lru_cache(maxsize=64)
-def _photon_pmf(cfg: DecoyConfig) -> np.ndarray:
-    """Source photon-number pmf of each intensity, shape (3, PHOTON_CUTOFF + 1);
-    the top bucket takes the Poisson tail.  Computed once per config (a
-    rejected config raises on every call) and read-only, since it is shared."""
-    if gammainc(PHOTON_CUTOFF + 1, max(cfg.intensities)) > MAX_TAIL:
-        raise ValueError(
-            f"intensities must put at most {MAX_TAIL:g} Poisson mass above "
-            f"{PHOTON_CUTOFF} photons, got {cfg.intensities}"
-        )
-    pmf = np.array([[_poisson(m, mu) for m in range(PHOTON_CUTOFF + 1)] for mu in cfg.intensities])
-    pmf[:, -1] += np.maximum(0.0, 1.0 - pmf.sum(axis=1))
-    pmf.flags.writeable = False
-    return pmf
-
-
 def sample_observations(
     ch: ChannelSpec,
     cfg: DecoyConfig,
@@ -212,8 +188,9 @@ def sample_observations(
     photon number) cell over the outcome classes of ``_class_table``, one
     table for both bases.  Memory is O(intensities * PHOTON_CUTOFF) for
     any n_total up to the int64 maximum.  Photon numbers above
-    PHOTON_CUTOFF share the top bucket, so intensities with more Poisson
-    mass there than MAX_TAIL are rejected.  With ``with_tags`` the true
+    PHOTON_CUTOFF share the top bucket of the config's photon pmf
+    (``DecoyConfig._photon_pmf``), which rejects intensities with more
+    Poisson mass there than ``decoy.MAX_TAIL``.  With ``with_tags`` the true
     per-photon-number counts of the X, X-error and key classes are returned
     alongside (unobservable in a real run; the decoy validation tests need
     them).  ``seed`` must be an integer >= 0.
@@ -221,7 +198,7 @@ def sample_observations(
     seed = _checked_number("seed", seed, 0, math.inf, int)
     if ch.n_total > np.iinfo(np.int64).max:
         raise ValueError(f"n_total must be at most {np.iinfo(np.int64).max} to sample, got {ch.n_total}")
-    pmf = _photon_pmf(cfg)
+    pmf = cfg._photon_pmf
     rng = np.random.default_rng(seed)
     per_intensity = rng.multinomial(ch.n_total, cfg.probabilities)
     per_photon = rng.multinomial(per_intensity, pmf)

@@ -288,7 +288,10 @@ def cmd_verify(args: argparse.Namespace, built: dict) -> tuple[dict, dict]:
     verifier = _VERIFIERS[args.lemma]
     extra = (built["decoy"],) if args.lemma == "decoy" and "decoy" in built else ()
     start = time.perf_counter()
-    report = verifier(trial_cfg, *extra).as_dict()
+    try:
+        report = verifier(trial_cfg, *extra).as_dict()
+    except ValueError as exc:  # a verifier checks the verify fields it reads
+        raise ValueError(f"verify.{exc}") from exc
     report["wall_s"] = time.perf_counter() - start
     return {"verify": dataclasses.asdict(trial_cfg), "lemma": args.lemma}, report
 

@@ -6,10 +6,15 @@ per-photon-number counts.  After a Hoeffding correction on each observed
 count, algebra over the three intensities yields analytic bounds on the
 zero-photon and one-photon components:
 
-``decoy_bounds`` returns all three from one Hoeffding shift of the counts:
-a lower bound on the zero-photon count, and a lower and an upper bound on
-the one-photon count.  ``bound_vacuum_lower``, ``bound_single_lower`` and
-``bound_single_upper`` each pick one of them.
+``decoy_bounds`` forms the one Hoeffding shift of the counts and returns all
+three: a lower bound on the zero-photon count, and a lower and an upper
+bound on the one-photon count.  ``bound_vacuum_lower``,
+``bound_single_lower`` and ``bound_single_upper`` each pick one of them.
+
+What depends only on the config is computed on first use and kept on the
+``DecoyConfig`` as a cached property: the bounds' constants
+(``_bound_constants``) and the source photon-number pmf the sampler draws
+from (``_photon_pmf``).
 
 All bounds are clamped to the physical range [0, n_O]; clamping a valid
 bound only tightens it.  Statistically inconsistent counts can cross the
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import gammainc
 
 from bb84mm.stat_bounds import _checked_number, _Record, hoeffding_decoy_dev
 
@@ -32,12 +38,19 @@ __all__ = [
     "Observations",
     "tau",
     "intensity_given_photon",
-    "shifted_counts",
     "decoy_bounds",
     "bound_vacuum_lower",
     "bound_single_lower",
     "bound_single_upper",
 ]
+
+# Source photon numbers above this are lumped into the top bucket; at
+# mu <= 1 the Poisson tail mass beyond 30 is < 1e-34.
+PHOTON_CUTOFF = 30
+# Largest Poisson mass above PHOTON_CUTOFF the sampler accepts (reached
+# near mu = 4.7).
+MAX_TAIL = 1e-15
+
 
 @dataclass(frozen=True)
 class DecoyConfig(_Record):
@@ -82,6 +95,21 @@ class DecoyConfig(_Record):
         field, so equality, hashing and ``asdict`` ignore it)."""
         scale = np.exp(self.intensities) / np.asarray(self.probabilities)
         return scale.tolist(), tau(0, self), tau(1, self)
+
+    @cached_property
+    def _photon_pmf(self) -> np.ndarray:
+        """Source photon-number pmf of each intensity, shape (3, PHOTON_CUTOFF + 1);
+        the top bucket takes the Poisson tail.  Kept like ``_bound_constants``
+        (a rejected config raises on every access) and read-only."""
+        if gammainc(PHOTON_CUTOFF + 1, max(self.intensities)) > MAX_TAIL:
+            raise ValueError(
+                f"intensities must put at most {MAX_TAIL:g} Poisson mass above "
+                f"{PHOTON_CUTOFF} photons, got {self.intensities}"
+            )
+        pmf = np.array([[_poisson(m, mu) for m in range(PHOTON_CUTOFF + 1)] for mu in self.intensities])
+        pmf[:, -1] += np.maximum(0.0, 1.0 - pmf.sum(axis=1))
+        pmf.flags.writeable = False
+        return pmf
 
 
 @dataclass(frozen=True)
@@ -181,41 +209,21 @@ def intensity_given_photon(m: int, cfg: DecoyConfig) -> np.ndarray:
     return w / t
 
 
-def _shift(
-    counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float, total: float
-) -> tuple[list[float], list[float]]:
-    """The Hoeffding shift of ``shifted_counts`` as plain floats; ``total``
-    is ``counts.total``.  ``max(v, 0.0)`` keeps a NaN or -0.0 as
-    ``np.maximum(0.0, v)`` does."""
-    t = hoeffding_decoy_dev(total, eps_sq)
-    n = [float(c) for c in counts.counts]
-    scale = cfg._bound_constants[0]
-    plus = [s * (c + t) for s, c in zip(scale, n)]
-    minus = [max(s * (c - t), 0.0) for s, c in zip(scale, n)]
-    return plus, minus
-
-
-def shifted_counts(
-    counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hoeffding-shifted per-intensity counts (plus, minus).
-
-    Each observed count is widened by the deviation term for the outcome
-    total, then rescaled by exp(mu_k)/p_k; the minus branch is clamped at 0.
-    """
-    plus, minus = _shift(counts, cfg, eps_sq, counts.total)
-    return np.array(plus), np.array(minus)
-
-
 def decoy_bounds(
     counts: OutcomeCounts, cfg: DecoyConfig, eps_sq: float
 ) -> tuple[float, float, float]:
     """(zero-photon lower, one-photon lower, one-photon upper) bounds on the
-    outcome class, from one Hoeffding shift of its per-intensity counts."""
+    outcome class.  The one Hoeffding shift: each count is widened by the
+    deviation for the outcome total and rescaled by exp(mu_k)/p_k, and the
+    minus branch is clamped by ``max(v, 0.0)``, which keeps a NaN or -0.0
+    as ``np.maximum(0.0, v)`` does."""
     mu1, mu2, mu3 = cfg.intensities
     total = counts.total
-    plus, minus = _shift(counts, cfg, eps_sq, total)
-    _, tau0, tau1 = cfg._bound_constants
+    t = hoeffding_decoy_dev(total, eps_sq)
+    scale, tau0, tau1 = cfg._bound_constants
+    n = [float(c) for c in counts.counts]
+    plus = [s * (c + t) for s, c in zip(scale, n)]
+    minus = [max(s * (c - t), 0.0) for s, c in zip(scale, n)]
 
     def clamp(raw: float) -> float:
         return float(min(total, max(0.0, raw)))

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -98,6 +99,9 @@ class DetectorSpec(_Record):
     Each of the four detectors (two bases times two outcomes) has an
     efficiency in [eta_det(1-delta_eta), eta_det(1+delta_eta)] and a
     dark-count probability in [d_det(1-delta_dc), d_det(1+delta_dc)].
+    eta_det is at least the smallest normal float: at a subnormal one both
+    ends of the efficiency range can round to the same value, and the
+    tolerance (and with it the mismatch penalty) silently vanishes.
     """
 
     eta_det: float
@@ -106,7 +110,7 @@ class DetectorSpec(_Record):
     delta_dc: float = 0.0
 
     _FIELDS = {
-        "eta_det": (0.0, 1.0, float, "(]"), "d_det": (0.0, 1.0, float, "[)"),
+        "eta_det": (sys.float_info.min, 1.0, float, "[]"), "d_det": (0.0, 1.0, float, "[)"),
         "delta_eta": (0.0, 1.0, float, "[]"), "delta_dc": (0.0, 1.0, float, "[]"),
     }
 

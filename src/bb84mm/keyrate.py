@@ -11,6 +11,7 @@ Lengths are in bits, logs base 2, and non-integer hash lengths are floored
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from bb84mm.decoy import DecoyConfig, Observations, decoy_bounds
@@ -74,11 +75,12 @@ class EpsilonBudget(_Record):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # The acceptance-test epsilons enter the bounds squared.
+        # The acceptance-test epsilons enter the bounds squared, and a
+        # subnormal square overflows 2/eps_sq in the deviations.
         for name in ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d"):
             v = getattr(self, name)
-            if v * v == 0.0:
-                raise ValueError(f"{name} squared underflows to 0, got {v}")
+            if v * v < sys.float_info.min:
+                raise ValueError(f"{name} squared underflows below {sys.float_info.min:g}, got {v}")
 
     @classmethod
     def equal(cls, eps: float) -> "EpsilonBudget":

@@ -7,20 +7,20 @@ channel survivals, mode splits, and the four click patterns.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bb84mm import channel_sim, decoy
+from bb84mm import decoy
 from bb84mm.channel_sim import (
     ChannelSpec,
     PHOTON_CUTOFF,
     _class_table,
     _detection_probs,
     _outcome_rates,
-    _photon_pmf,
     expected_observations,
     sample_observations,
 )
@@ -147,7 +147,7 @@ class TestClassProbabilities:
     @given(
         loss_db=st.floats(0.0, 60.0),
         theta=st.floats(0.0, 45.0),
-        eta_det=st.floats(0.0, 1.0, exclude_min=True),
+        eta_det=st.floats(sys.float_info.min, 1.0),
         d_det=st.floats(0.0, 1e-3),
         mu=st.floats(0.0, 1.0),
     )
@@ -204,10 +204,11 @@ class TestSampleObservations:
         # mu1 = 20 puts 1.3 % of its mass above the top photon bucket.
         ch = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
         assert sample_observations(ch, DecoyConfig((4.7, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)), seed=0)
-        # 4.8 twice: the pmf is kept per config, a rejection is not.
-        for mu1 in (4.8, 4.8, 20.0):
+        # One config twice: the pmf is kept on the config, a rejection is not.
+        rejected = DecoyConfig((4.8, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3))
+        for cfg in (rejected, rejected, DecoyConfig((20.0, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3))):
             with pytest.raises(ValueError, match="intensities"):
-                sample_observations(ch, DecoyConfig((mu1, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)), seed=0)
+                sample_observations(ch, cfg, seed=0)
 
     def test_rejects_a_negative_seed(self):
         ch = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
@@ -228,7 +229,7 @@ class TestSampleObservations:
         cfg = DecoyConfig.reference()
         runs = 200
         tags = [sample_observations(ch, cfg, seed=s, with_tags=True)[1] for s in range(runs)]
-        weights = np.asarray(cfg.probabilities) @ _photon_pmf(cfg)[:, :4]
+        weights = np.asarray(cfg.probabilities) @ cfg._photon_pmf[:, :4]
         q = weights[:, None] * _class_table(ch)[:4]
         for name, cells in (("x", q[:, 0] + q[:, 1]), ("x_err", q[:, 0]), ("k", q[:, 2])):
             mean = np.mean([getattr(t, name)[:4] for t in tags], axis=0)
@@ -246,20 +247,21 @@ class TestSampleObservations:
 
 class TestPerConfigConstants:
     """What depends only on the DecoyConfig is computed once per config and
-    shared by equal configs; the config itself does not change."""
+    kept on it; equal configs give equal results, and the config itself
+    does not change."""
 
     ARGS = ((0.6, 0.2, 0.0), (0.5, 0.3, 0.2))
     CH = ChannelSpec.reference(loss_db=10.0, n_total=10**6)
 
     def test_photon_pmf_is_read_only(self):
-        pmf = _photon_pmf(DecoyConfig(*self.ARGS))
+        pmf = DecoyConfig(*self.ARGS)._photon_pmf
         with pytest.raises(ValueError, match="read-only"):
             pmf[0, 0] = 0.5
 
     def test_equal_configs_give_equal_results(self):
         a, b = DecoyConfig(*self.ARGS), DecoyConfig(*self.ARGS)
         assert a is not b
-        assert np.array_equal(_photon_pmf(a), _photon_pmf(b))
+        assert np.array_equal(a._photon_pmf, b._photon_pmf)
         for seed in (0, 5):
             assert sample_observations(self.CH, a, seed=seed) == sample_observations(self.CH, b, seed=seed)
 
@@ -280,7 +282,6 @@ class TestPerConfigConstants:
 
         poisson = decoy._poisson
         monkeypatch.setattr(decoy, "_poisson", counted)
-        monkeypatch.setattr(channel_sim, "_poisson", counted)
         cfg = DecoyConfig(*self.ARGS)
         deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01))
         budget = EpsilonBudget.equal(1e-12)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bb84mm import cli
-from bb84mm.channel_sim import ChannelSpec, expected_observations
+from bb84mm.channel_sim import ChannelSpec, expected_observations, sample_observations
 from bb84mm.decoy import DecoyConfig, Observations
 from bb84mm.detector_model import DetectorSpec, closed_form_deltas, oracle_deltas
 from bb84mm.keyrate import EpsilonBudget, key_length_decoy
@@ -66,9 +66,7 @@ class TestKeyrateScan:
         deltas = closed_form_deltas(det)
         for row in rows:
             loss, rate, length = row.split(",")[:3]
-            ch = ChannelSpec.reference(
-                loss_db=float(loss), n_total=10**9, detector=det
-            )
+            ch = ChannelSpec.reference(loss_db=float(loss), n_total=10**9, detector=det)
             obs = expected_observations(ch, cfg)
             decision = key_length_decoy(obs, cfg, deltas, EpsilonBudget(), f_ec=1.16)
             assert int(length) == decision.key_length
@@ -76,10 +74,8 @@ class TestKeyrateScan:
 
     def test_empty_scan_gives_header_only(self, tmp_path):
         cfg = dict(BASE_CONFIG, scan={"loss_db": []})
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
         out = tmp_path / "scan.csv"
-        assert run_cli("keyrate", "--config", str(path), "--out", str(out)) == 0
+        assert run_cli("keyrate", "--config", _config(tmp_path, cfg), "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == cli.CSV_HEADER
         assert len(lines) == 2
@@ -94,10 +90,8 @@ class TestKeyrateScan:
 class TestDelta:
     def test_zero_tolerance(self, tmp_path):
         cfg = dict(BASE_CONFIG, detector={"eta_det": 0.7, "d_det": 1e-6})
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
         out = tmp_path / "delta.json"
-        assert run_cli("delta", "--config", str(path), "--nmax", "3", "--out", str(out)) == 0
+        assert run_cli("delta", "--config", _config(tmp_path, cfg), "--nmax", "3", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload["closed_form"]["d1"] == 0.0
         assert abs(payload["oracle"]["d1"]) < 1e-10
@@ -115,9 +109,8 @@ class TestDelta:
         # At delta_eta = 1 the all-minimum corner has four zero efficiencies;
         # renormalized, it is the limit of four equal ones.
         detector = {"eta_det": 0.5, "d_det": 1e-6, "delta_eta": 1.0, "delta_dc": 0.01}
-        path, out = tmp_path / "cfg.json", tmp_path / "delta.json"
-        path.write_text(json.dumps({"detector": detector}))
-        assert run_cli("delta", "--config", str(path), "--nmax", "4", "--out", str(out)) == 0
+        path, out = _config(tmp_path, {"detector": detector}), tmp_path / "delta.json"
+        assert run_cli("delta", "--config", path, "--nmax", "4", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         near = oracle_deltas(DetectorSpec(0.5, 1e-6, 1.0 - 1e-9, 0.01), n_max=4)
         assert np.isfinite(payload["oracle"]["d1"])
@@ -136,68 +129,28 @@ class TestDelta:
 
 class TestSimulateDecoyRoundTrip:
     def test_round_trip_matches_in_process(self, config_path, tmp_path):
-        obs_path = tmp_path / "obs.json"
-        assert (
-            run_cli("simulate", "--config", config_path, "--seed", "11", "--out", str(obs_path))
-            == 0
-        )
+        obs_path, bounds_path, key_path = (tmp_path / name for name in ("obs.json", "bounds.json", "key.json"))
+        assert run_cli("simulate", "--config", config_path, "--seed", "11", "--out", str(obs_path)) == 0
         payload = json.loads(obs_path.read_text())
         assert payload["config"]["seed"] == 11
 
-        bounds_path = tmp_path / "bounds.json"
-        assert (
-            run_cli(
-                "decoy",
-                "--config",
-                config_path,
-                "--observations",
-                str(obs_path),
-                "--out",
-                str(bounds_path),
-            )
-            == 0
-        )
+        observed = ["--config", config_path, "--observations", str(obs_path)]
+        assert run_cli("decoy", *observed, "--out", str(bounds_path)) == 0
         bounds = json.loads(bounds_path.read_text())
         assert set(bounds["bounds"]) == {"x", "x_err", "k"}
         for cls in bounds["bounds"].values():
             assert cls["single_lower"] <= cls["single_upper"] + 1e-9
 
-        key_path = tmp_path / "key.json"
-        assert (
-            run_cli(
-                "keyrate",
-                "--config",
-                config_path,
-                "--observations",
-                str(obs_path),
-                "--out",
-                str(key_path),
-            )
-            == 0
-        )
+        assert run_cli("keyrate", *observed, "--out", str(key_path)) == 0
         key = json.loads(key_path.read_text())
 
         # in-process recomputation from the emitted observations
-        from bb84mm.channel_sim import sample_observations
-
-        obs = Observations(
-            n_x=tuple(payload["observations"]["n_x"]),
-            n_k=tuple(payload["observations"]["n_k"]),
-            e_x=tuple(payload["observations"]["e_x"]),
-            e_z=payload["observations"]["e_z"],
-        )
-        ch = ChannelSpec.reference(
-            loss_db=0.0, n_total=10**9, detector=DetectorSpec(0.7, 1e-6, 0.01, 0.01)
-        )
+        obs = Observations(**payload["observations"])
+        detector = DetectorSpec(0.7, 1e-6, 0.01, 0.01)
+        ch = ChannelSpec.reference(loss_db=0.0, n_total=10**9, detector=detector)
         assert obs == sample_observations(ch, DecoyConfig.reference(), seed=11)
-        deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01))
-        decision = key_length_decoy(
-            obs,
-            DecoyConfig.reference(),
-            deltas,
-            EpsilonBudget(),
-            f_ec=1.16,
-        )
+        deltas = closed_form_deltas(detector)
+        decision = key_length_decoy(obs, DecoyConfig.reference(), deltas, EpsilonBudget(), f_ec=1.16)
         assert key["key_length"] == decision.key_length
         assert key["phase_bound"] == pytest.approx(decision.phase_bound, rel=1e-12)
 
@@ -223,6 +176,13 @@ FULL_RECORD = {"n_x": [9e5, 1e6, 1e5], "n_k": [8e5, 9e5, 9e4], "e_x": [1e-3, 1e-
 def _with(section, **fields):
     """BASE_CONFIG with fields set in one section."""
     return dict(BASE_CONFIG, **{section: dict(BASE_CONFIG.get(section, {}), **fields)})
+
+
+def _config(tmp_path, cfg: dict) -> str:
+    """The path of a config file holding ``cfg``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 # Each case exits 2 and names its key; each used to run (exit 0), fail
@@ -263,6 +223,9 @@ BOUNDARY_CASES = {
         f"keyrate-{name}-1e-200": ("keyrate", _with("epsilons", **{name: 1e-200}), None, name)
         for name in ("eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d")
     },
+    # a subnormal square or efficiency (used to exit 0: key 0, or deltas 0)
+    "keyrate-eps_at_d-1e-161": ("keyrate", _with("epsilons", eps_at_d=1e-161), None, "epsilons.eps_at_d"),
+    "keyrate-eta_det-5e-324": ("keyrate", _with("detector", eta_det=5e-324), None, "detector.eta_det"),
 }
 
 
@@ -270,9 +233,7 @@ BOUNDARY_CASES = {
     "command, cfg, record, key", list(BOUNDARY_CASES.values()), ids=list(BOUNDARY_CASES)
 )
 def test_boundary_case_exits_2_and_names_its_key(tmp_path, capsys, command, cfg, record, key):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    argv = [*command.split(), "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    argv = [*command.split(), "--config", _config(tmp_path, cfg), "--out", str(tmp_path / "out")]
     if record is not None:
         obs_path = tmp_path / "obs.json"
         obs_path.write_text(json.dumps(record))
@@ -297,9 +258,8 @@ class TestVerifyCommand:
 
     def test_failed_lemma_check_says_so(self, tmp_path, capsys):
         # With p_test = 0 no trial is valid, so the serfling check fails.
-        path, out = tmp_path / "cfg.json", tmp_path / "verify.json"
-        path.write_text(json.dumps({"verify": {"p_test": 0, "trials": 1000}}))
-        assert run_cli("verify", "--lemma", "serfling", "--config", str(path), "--out", str(out)) == 3
+        path, out = _config(tmp_path, {"verify": {"p_test": 0, "trials": 1000}}), tmp_path / "verify.json"
+        assert run_cli("verify", "--lemma", "serfling", "--config", path, "--out", str(out)) == 3
         assert capsys.readouterr().err == "lemma check failed: serfling\n"
         assert json.loads(out.read_text())["pass"] is False
 
@@ -335,13 +295,9 @@ def test_every_output_embeds_its_inputs(config_path, tmp_path):
     for command in ("decoy", "keyrate"):
         out = loads(payload(command, "--observations", str(obs_path)))
         assert out["config"] == {**BASE_CONFIG, "observations": record}
-    decision = key_length_decoy(
-        Observations(**out["config"]["observations"]),
-        DecoyConfig.reference(),
-        closed_form_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01)),
-        EpsilonBudget(),
-        f_ec=1.16,
-    )
+    deltas = closed_form_deltas(DetectorSpec(0.7, 1e-6, 0.01, 0.01))
+    obs = Observations(**out["config"]["observations"])
+    decision = key_length_decoy(obs, DecoyConfig.reference(), deltas, EpsilonBudget(), f_ec=1.16)
     assert _as_json(dataclasses.asdict(decision)).items() <= out.items()
     verify = loads(payload("verify", "--lemma", "serfling", "--trials", "1000", "--seed", "1"))
     trials = dataclasses.asdict(TrialConfig(trials=1000, seed=1))
@@ -351,10 +307,10 @@ def test_every_output_embeds_its_inputs(config_path, tmp_path):
 def test_a_non_finite_result_is_a_numeric_failure(tmp_path, capsys):
     # f_ec = 1e308 is valid, but lambda_ec overflows to inf, which standard
     # JSON cannot hold: exit 3 naming the field, and nothing is written.
-    cfg_path, obs_path, out = tmp_path / "cfg.json", tmp_path / "obs.json", tmp_path / "out.json"
-    cfg_path.write_text(json.dumps(_with("error_correction", f_ec=1e308)))
+    obs_path, out = tmp_path / "obs.json", tmp_path / "out.json"
     obs_path.write_text(json.dumps(FULL_RECORD))
-    argv = ["keyrate", "--config", str(cfg_path), "--observations", str(obs_path)]
+    cfg_path = _config(tmp_path, _with("error_correction", f_ec=1e308))
+    argv = ["keyrate", "--config", cfg_path, "--observations", str(obs_path)]
     assert run_cli(*argv, "--out", str(out)) == 3
     assert not out.exists()
     assert run_cli(*argv) == 3
@@ -394,21 +350,10 @@ class TestErrorPaths:
 
     def test_bad_detector_field(self, tmp_path):
         cfg = dict(BASE_CONFIG, detector={"eta_det": 1.5, "d_det": 1e-6})
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli("delta", "--config", str(path)) == 2
+        assert run_cli("delta", "--config", _config(tmp_path, cfg)) == 2
 
     def test_missing_observations_file(self, config_path, tmp_path):
-        assert (
-            run_cli(
-                "decoy",
-                "--config",
-                config_path,
-                "--observations",
-                str(tmp_path / "nope.json"),
-            )
-            == 2
-        )
+        assert run_cli("decoy", "--config", config_path, "--observations", str(tmp_path / "nope.json")) == 2
 
     @pytest.mark.parametrize("kind", ["config", "observations"])
     def test_file_that_is_not_utf8_is_named(self, config_path, tmp_path, capsys, kind):
@@ -421,9 +366,7 @@ class TestErrorPaths:
 
     def test_bad_scan_axis(self, tmp_path):
         cfg = dict(BASE_CONFIG, scan={"loss_db": "zero"})
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli("keyrate", "--config", str(path)) == 2
+        assert run_cli("keyrate", "--config", _config(tmp_path, cfg)) == 2
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_observations(self, config_path, tmp_path, capsys, bad):
@@ -453,9 +396,7 @@ class TestErrorPaths:
     )
     def test_boolean_is_not_a_number(self, tmp_path, capsys, section, value, where):
         cfg = dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **value)})
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli("keyrate", "--config", str(path), "--out", str(tmp_path / "scan.csv")) == 2
+        assert run_cli("keyrate", "--config", _config(tmp_path, cfg), "--out", str(tmp_path / "scan.csv")) == 2
         assert where in capsys.readouterr().err
 
     def test_boolean_observation_rejected(self, config_path, tmp_path, capsys):
@@ -466,15 +407,12 @@ class TestErrorPaths:
 
     def test_derived_basis_probability_is_unknown(self, tmp_path, capsys):
         cfg = dict(BASE_CONFIG, channel=dict(BASE_CONFIG["channel"], p_x_alice=0.5))
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli("keyrate", "--config", str(path)) == 2
+        assert run_cli("keyrate", "--config", _config(tmp_path, cfg)) == 2
         assert "p_x_alice" in capsys.readouterr().err
 
     def test_out_of_range_verify_field(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"verify": {"constant_photons": 7}}))
-        assert run_cli("verify", "--lemma", "decoy", "--config", str(path)) == 2
+        path = _config(tmp_path, {"verify": {"constant_photons": 7}})
+        assert run_cli("verify", "--lemma", "decoy", "--config", path) == 2
         assert "constant_photons" in capsys.readouterr().err
 
 
@@ -503,34 +441,29 @@ class TestErrorPaths:
     def test_transfer_base_rate_below_its_minimum(self, tmp_path, capsys, base_rate):
         # The transfer profile spreads its rates down to 0.01; the other
         # lemmas do not read base_rate, so TrialConfig accepts [0, 1].
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"verify": {"base_rate": base_rate, "trials": 1000}}))
-        assert run_cli("verify", "--lemma", "transfer", "--config", str(path)) == 2
-        assert "base_rate" in capsys.readouterr().err
+        path = _config(tmp_path, {"verify": {"base_rate": base_rate, "trials": 1000}})
+        assert run_cli("verify", "--lemma", "transfer", "--config", path) == 2
+        assert "verify.base_rate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["keyrate", "simulate"])
     @pytest.mark.parametrize("loss", [4000.0, -1.0, 10**400], ids=["4000", "-1", "1e400-int"])
     def test_loss_without_a_transmissivity_names_its_entry(self, tmp_path, capsys, command, loss):
         # 10^(-400) underflows to 0; -1 dB would be a gain of 1.26; an
         # integer literal of 401 digits has no float at all.
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(_with("scan", loss_db=[loss, 0.0])))
-        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        path = _config(tmp_path, _with("scan", loss_db=[loss, 0.0]))
+        assert run_cli(command, "--config", path, "--out", str(tmp_path / "out")) == 2
         assert "scan.loss_db[0]" in capsys.readouterr().err
 
     def test_too_many_photon_levels(self, tmp_path, capsys):
         # Above ~170 photons no intensity has a representable emission
         # probability.
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"verify": {"photon_levels": 400, "trials": 1000}}))
-        assert run_cli("verify", "--lemma", "decoy", "--config", str(path)) == 2
-        assert "photon_levels" in capsys.readouterr().err
+        path = _config(tmp_path, {"verify": {"photon_levels": 400, "trials": 1000}})
+        assert run_cli("verify", "--lemma", "decoy", "--config", path) == 2
+        assert "verify.photon_levels" in capsys.readouterr().err
 
     def test_infinite_round_count(self, tmp_path, capsys):
         cfg = dict(BASE_CONFIG, channel=dict(BASE_CONFIG["channel"], n_total=float("inf")))
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli("keyrate", "--config", str(path)) == 2
+        assert run_cli("keyrate", "--config", _config(tmp_path, cfg)) == 2
         assert "n_total" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -652,17 +585,15 @@ def test_a_bad_observation_runs_or_is_named(config_path, tmp_path, capsys, comma
 )
 def test_every_subcommand_checks_every_section(tmp_path, capsys, command, section, value):
     # Each used to exit 0 under a subcommand that does not read the section.
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_with(section, **value)))
-    assert run_cli(*command.split(), "--config", str(path), "--out", str(tmp_path / "out")) == 2
+    path = _config(tmp_path, _with(section, **value))
+    assert run_cli(*command.split(), "--config", path, "--out", str(tmp_path / "out")) == 2
     assert f"{section}.{next(iter(value))}" in capsys.readouterr().err
 
 
 def test_a_channel_needs_a_detector(tmp_path, capsys):
     # verify reads neither section, and used to exit 0.
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items() if k != "detector"}))
-    assert run_cli("verify", "--lemma", "serfling", "--trials", "1000", "--config", str(path)) == 2
+    path = _config(tmp_path, {k: v for k, v in BASE_CONFIG.items() if k != "detector"})
+    assert run_cli("verify", "--lemma", "serfling", "--trials", "1000", "--config", path) == 2
     assert "'detector'" in capsys.readouterr().err
 
 

@@ -18,7 +18,6 @@ from bb84mm.decoy import (
     bound_vacuum_lower,
     decoy_bounds,
     intensity_given_photon,
-    shifted_counts,
     tau,
 )
 from bb84mm.stat_bounds import hoeffding_decoy_dev
@@ -116,35 +115,43 @@ class TestPhotonStatistics:
 
 
 class TestShiftedCounts:
-    def test_all_zero(self):
-        plus, minus = shifted_counts(OutcomeCounts((0, 0, 0)), CFG, 1e-24)
-        assert np.all(plus == 0.0)
-        assert np.all(minus == 0.0)
+    """The Hoeffding shift, seen through the bounds ``decoy_bounds`` forms
+    from it."""
+
+    @given(cfg=valid_configs(), eps_sq=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    def test_all_zero(self, cfg, eps_sq):
+        # No counts, no deviation: both branches are 0 at any config and eps.
+        assert decoy_bounds(OutcomeCounts((0, 0, 0)), cfg, eps_sq) == (0.0, 0.0, 0.0)
 
     def test_frozen_example(self):
-        # n_mu2 = 1e6, n_total = 2e6, p = 1/3, mu2 = 0.1, eps^2 = 1e-24:
-        # 3 e^0.1 (1e6 - 7480.3) = 3.29071e6.
-        counts = OutcomeCounts((9e5, 1e6, 1e5))
+        # n_mu3 = 1e5, n_total = 2e6, p = 1/3, mu3 = 0, eps^2 = 1e-24: the
+        # vacuum bound is tau0 3 e^0 (1e5 - 7480.3) = 2.138506e5.
         t = hoeffding_decoy_dev(2e6, 1e-24)
-        expect = 3 * math.exp(0.1) * (1e6 - t)
-        assert expect == pytest.approx(3.290712e6, rel=1e-6)  # oracle self-check
-        _, minus = shifted_counts(counts, CFG, 1e-24)
-        assert minus[1] == pytest.approx(expect, rel=1e-12)
+        expect = (math.exp(-0.9) + math.exp(-0.1) + 1.0) * (1e5 - t)
+        assert expect == pytest.approx(2.138506e5, rel=1e-6)  # oracle self-check
+        vac, _, _ = decoy_bounds(OutcomeCounts((9e5, 1e6, 1e5)), CFG, 1e-24)
+        assert vac == pytest.approx(expect, rel=1e-12)
 
     def test_branches_straddle_center(self):
+        # Every bound is monotone in each shifted count, so the bounds at
+        # eps^2 = 1e-12 lie outside those at the largest eps^2 below 2,
+        # whose shift of at most 1e-4 nearly leaves the counts at the center.
         rng = np.random.default_rng(5)
         for _ in range(20):
             counts = OutcomeCounts(tuple(rng.integers(0, 10**6, 3).astype(float)))
-            plus, minus = shifted_counts(counts, CFG, 1e-12)
-            center = np.exp(CFG.intensities) / np.array(CFG.probabilities) * np.array(
-                counts.counts
-            )
-            assert np.all(plus >= center - 1e-9)
-            assert np.all(minus <= center + 1e-9)
+            vac, lower, upper = decoy_bounds(counts, CFG, 1e-12)
+            vac_c, lower_c, upper_c = decoy_bounds(counts, CFG, math.nextafter(2.0, 0.0))
+            assert vac <= vac_c and lower <= lower_c and upper >= upper_c
 
     def test_minus_clamped_at_zero(self):
-        _, minus = shifted_counts(OutcomeCounts((1, 2, 1)), CFG, 1e-24)
-        assert np.all(minus >= 0.0)
+        # n_mu3 = 0 < t: the minus branch of the vacuum count is 0, not
+        # -3t, so the one-photon upper bound is tau1 3 e^0.1 (1e6 + t) / 0.1
+        # (5 % below the unclamped value) and the vacuum bound is 0.
+        counts = OutcomeCounts((1e8, 1e6, 0.0))
+        t = hoeffding_decoy_dev(counts.total, 1e-24)
+        vac, _, upper = decoy_bounds(counts, CFG, 1e-24)
+        assert vac == 0.0
+        assert upper == pytest.approx(tau(1, CFG) * 3 * math.exp(0.1) * (1e6 + t) / 0.1, rel=1e-12)
 
 
 class TestAnalyticBounds:
@@ -157,8 +164,7 @@ class TestAnalyticBounds:
     def test_vacuum_decoy_isolates_zero_photon_yield(self):
         # mu3 = 0 reduces the vacuum bound to tau0 * n_mu3_minus.
         counts = OutcomeCounts((5e5, 2e5, 1e5))
-        _, minus = shifted_counts(counts, CFG, 1e-24)
-        expect = tau(0, CFG) * minus[2]
+        expect = tau(0, CFG) * 3 * (1e5 - hoeffding_decoy_dev(8e5, 1e-24))
         assert bound_vacuum_lower(counts, CFG, 1e-24) == pytest.approx(expect, rel=1e-12)
 
     def test_interval_sanity_on_random_counts(self):
@@ -194,14 +200,12 @@ class TestAnalyticBounds:
     )
     def test_bounds_match_the_checked_closed_form(self, cfg, counts, eps_sq):
         # The constants decoy_bounds keeps per config are, to the last bit,
-        # the ones the public checked functions compute, and the shift is
-        # the numpy expression it replaced.
+        # the ones the public checked functions compute, and its shift is
+        # the numpy expression formed here.
         c = OutcomeCounts(counts)
-        plus, minus = shifted_counts(c, cfg, eps_sq)
         scale = np.exp(cfg.intensities) / np.asarray(cfg.probabilities)
         n, t = np.asarray(counts, dtype=float), hoeffding_decoy_dev(c.total, eps_sq)
-        np.testing.assert_array_equal([plus, minus], [scale * (n + t), np.maximum(0.0, scale * (n - t))])
-        plus, minus = plus.tolist(), minus.tolist()
+        plus, minus = (scale * (n + t)).tolist(), np.maximum(0.0, scale * (n - t)).tolist()
         tau0, tau1 = tau(0, cfg), tau(1, cfg)
         mu1, mu2, mu3 = cfg.intensities
 

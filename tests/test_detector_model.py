@@ -92,6 +92,9 @@ class TestDetectorSpec:
             DetectorSpec(0.999, 1e-6, delta_eta=0.01)
         with pytest.raises(ValueError):
             DetectorSpec(0.7, 0.6, delta_dc=0.9)
+        # A subnormal eta_det: eta_min and eta_max can round to one value.
+        with pytest.raises(ValueError, match=r"^eta_det must be a finite number in \[2.22507e-308, 1\]"):
+            DetectorSpec(5e-324, 1e-6, 0.05, 0)
 
     def test_delta_pair_ranges(self):
         with pytest.raises(ValueError):
@@ -130,6 +133,20 @@ class TestClosedFormDeltas:
             top = max(de, dd)
             assert d.delta1 == pytest.approx(4 * top, rel=0.1)
             assert d.delta2 == pytest.approx(2 * top, rel=0.1)
+
+    @given(
+        d_det=st.floats(1e-12, 0.1), delta_eta=st.just(0.0) | st.floats(1e-3, 1.0),
+        delta_dc=st.floats(0.0, 0.9), u=st.floats(0.0, 1.0),
+    )
+    def test_depends_on_eta_det_only_through_the_tolerances(self, d_det, delta_eta, delta_dc, u):
+        # eta_det log-uniform in [smallest normal, 1/(1 + delta_eta)] against
+        # 0.5 (at 5e-324 both deltas were 0).  Below delta_eta = 1e-3,
+        # rounding eta_det(1 -/+ delta_eta) moves 1 - eta_ratio by > 1e-12.
+        top = 1.0 / (1.0 + delta_eta)
+        eta = min(top, 2.0 ** (-1022.0 + u * (1022.0 + math.log2(top))))
+        for deltas in (closed_form_deltas, lambda s: oracle_deltas(s, n_max=3, interior_samples=0, seed=0)):
+            got, want = (deltas(DetectorSpec(e, d_det, delta_eta, delta_dc)) for e in (eta, 0.5))
+            assert (got.delta1, got.delta2) == pytest.approx((want.delta1, want.delta2), rel=1e-12)
 
     def test_monotone_in_tolerances(self):
         grid = [0.0, 0.002, 0.005, 0.01, 0.02]

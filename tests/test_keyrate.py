@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bb84mm.channel_sim import ChannelSpec, _class_table, _photon_pmf, expected_observations
+from bb84mm.channel_sim import ChannelSpec, _class_table, expected_observations
 from bb84mm.decoy import DecoyConfig, Observations, OutcomeCounts, decoy_bounds
 from bb84mm.detector_model import DeltaPair, DetectorSpec, closed_form_deltas
 from bb84mm.keyrate import (
@@ -82,8 +82,11 @@ class TestEpsilonBudget:
 
     @pytest.mark.parametrize("name", ["eps_at_a", "eps_at_b", "eps_at_c", "eps_at_d"])
     def test_square_must_not_underflow(self, name):
-        with pytest.raises(ValueError, match=f"{name} squared underflows"):
-            EpsilonBudget(**{name: 1e-200})
+        # 1e-161 squared is subnormal: 2 / eps_sq overflows in the deviations.
+        for eps in (1e-200, 1e-161):
+            with pytest.raises(ValueError, match=f"{name} squared underflows"):
+                EpsilonBudget(**{name: eps})
+        assert EpsilonBudget(**{name: 1.5e-154}).security_parameter() > 0
         # eps_pa and eps_ev enter only logarithms.
         assert EpsilonBudget(eps_pa=1e-200, eps_ev=1e-200).security_parameter() > 0
 
@@ -286,7 +289,7 @@ class TestKeyLengthDecoy:
         deltas = closed_form_deltas(DetectorSpec(eta_det, d_det, *tol))
         out = key_length_decoy(expected_observations(ch, cfg), cfg, deltas, budget, f_ec)
 
-        single = ch.n_total * float(np.dot(cfg.probabilities, _photon_pmf(cfg)[:, 1])) * _class_table(ch)[1]
+        single = ch.n_total * float(np.dot(cfg.probabilities, cfg._photon_pmf[:, 1])) * _class_table(ch)[1]
         x_err, x_ok, n1_key = single[:3]
         hash_penalties = 2 * math.log2(1 / (2 * budget.eps_pa)) + math.log2(2 / budget.eps_ev)
         ceiling = n1_key * (1 - binary_entropy(x_err / (x_err + x_ok))) - out.lambda_ec - hash_penalties

@@ -436,8 +436,8 @@ ARGUMENTS = [
     (decoy.tau, {"m": 1, "cfg": _CFG}, {"m": COUNT}),
     (decoy.intensity_given_photon, {"m": 1, "cfg": _CFG}, {"m": COUNT}),
     *((f, {"counts": _COUNTS, "cfg": _CFG, "eps_sq": 1e-10}, {"eps_sq": EPS_DECOY})
-      for f in (decoy.shifted_counts, decoy.decoy_bounds, decoy.bound_vacuum_lower,
-                decoy.bound_single_lower, decoy.bound_single_upper)),
+      for f in (decoy.decoy_bounds, decoy.bound_vacuum_lower, decoy.bound_single_lower,
+                decoy.bound_single_upper)),
     (keyrate.binary_entropy, {"x": 0.1}, {"x": UNIT}),
     (keyrate.lambda_ec_default, {"n_key": 100.0, "e_z": 0.1, "f_ec": 1.16},
      {"n_key": (0.0, math.inf, float, "[]"), "e_z": UNIT, "f_ec": F_EC}),
