@@ -102,6 +102,7 @@ class DetectorSpec(_Record):
     eta_det is at least the smallest normal float: at a subnormal one both
     ends of the efficiency range can round to the same value, and the
     tolerance (and with it the mismatch penalty) silently vanishes.
+    ``eta_gap``, 1 - eta_min/eta_max, is formed without cancellation.
     """
 
     eta_det: float
@@ -138,9 +139,12 @@ class DetectorSpec(_Record):
         return self.d_det * (1.0 + self.delta_dc)
 
     @property
-    def eta_ratio(self) -> float:
-        """Worst relative efficiency after pulling common loss into the channel."""
-        return self.eta_min / self.eta_max
+    def eta_gap(self) -> float:
+        """1 - eta_min/eta_max without cancellation: 2 delta_eta/(1 + delta_eta),
+        or (1 - eta_det) + eta_det delta_eta where eta_max is capped at 1."""
+        if self.eta_det * (1.0 + self.delta_eta) < 1.0:
+            return 2.0 * self.delta_eta / (1.0 + self.delta_eta)
+        return (1.0 - self.eta_det) + self.eta_det * self.delta_eta
 
 
 @dataclass(frozen=True)
@@ -162,16 +166,16 @@ def closed_form_deltas(spec: DetectorSpec) -> DeltaPair:
     """Analytic worst-case (delta1, delta2) over the tolerance box.
 
     delta1 <= 4 max{1 - sqrt((1-(1-d_min)^2)/(1-(1-d_max)^2)),
-                    1 - sqrt(1 - (1-d_min)^2 (1-eta_r))}
-    delta2 <=   max{1 - (1-(1-d_min)^2)/(1-(1-d_max)^2),
-                    (1-d_min)^2 (1-eta_r)}
+                    1 - sqrt(1 - x)}
+    delta2 <=   max{1 - (1-(1-d_min)^2)/(1-(1-d_max)^2), x}
 
-    with eta_r = eta_min/eta_max.  When d_min = 0 but d_max > 0 the first
+    with x = (1-d_min)^2 ``eta_gap`` and 1 - sqrt(1 - x) formed as
+    x/(1 + sqrt(1 - x)), so the efficiency branch keeps full relative
+    precision at any delta_eta.  When d_min = 0 but d_max > 0 the first
     branch is vacuous (ratio 0), driving delta1 to its cap of 4 and key
     rates to zero; a warning flags that regime.
     """
     d_min, d_max = spec.d_min, spec.d_max
-    eta_r = spec.eta_ratio
     if d_max == 0.0:
         # No dark counts anywhere: the vacuum block is fully filtered out
         # and contributes nothing.
@@ -186,10 +190,9 @@ def closed_form_deltas(spec: DetectorSpec) -> DeltaPair:
             )
     branch_dark_1 = 1.0 - math.sqrt(dark_ratio)
     branch_dark_2 = 1.0 - dark_ratio
-    branch_eta_1 = 1.0 - math.sqrt(1.0 - (1.0 - d_min) ** 2 * (1.0 - eta_r))
-    branch_eta_2 = (1.0 - d_min) ** 2 * (1.0 - eta_r)
-    delta1 = min(4.0, 4.0 * max(branch_dark_1, branch_eta_1))
-    delta2 = min(1.0, max(branch_dark_2, branch_eta_2))
+    x = (1.0 - d_min) ** 2 * spec.eta_gap
+    delta1 = min(4.0, 4.0 * max(branch_dark_1, x / (1.0 + math.sqrt(1.0 - x))))
+    delta2 = min(1.0, max(branch_dark_2, x))
     return DeltaPair(delta1, delta2)
 
 
@@ -230,10 +233,16 @@ def _pinv(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(1.0, w, out=np.zeros_like(w), where=support), ~support
 
 
-def _checked(n: int, eta, dc) -> tuple[int, np.ndarray, np.ndarray]:
-    """N as an int and ``eta``/``dc`` as float arrays, once all are in range."""
+def _checked(n: int, eta, dc, shape: str = "(..., 4)") -> tuple[int, np.ndarray, np.ndarray]:
+    """N as an int and ``eta``/``dc`` as float arrays, once all are in range
+    and of one ``shape``: four detectors (Z0, Z1, X0, X1) on the last axis."""
     n = _checked_number("n", n, 0, MAX_BLOCK_PHOTONS, int)
-    return n, _checked_probabilities("eta", eta), _checked_probabilities("dc", dc)
+    eta, dc = _checked_probabilities("eta", eta), _checked_probabilities("dc", dc)
+    if eta.shape[-1:] != (4,) or shape == "(4,)" and eta.ndim != 1:
+        raise ValueError(f"eta must have shape {shape}, one entry per detector, got {eta.shape}")
+    if dc.shape != eta.shape:
+        raise ValueError(f"dc must have the shape of eta, {eta.shape}, got {dc.shape}")
+    return n, eta, dc
 
 
 def _common_filter(n: int, eta: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -332,7 +341,7 @@ def build_block_povm(
 ) -> PovmBlock:
     """Construct every operator of the N-photon block as a dense matrix.
 
-    ``eta``/``dc`` order the four detectors as (Z0, Z1, X0, X1).  Produces
+    ``eta``/``dc``, of shape (4,), order the detectors as (Z0, Z1, X0, X1).  Produces
     the raw joint POVM elements per basis, the conclusive filters, the
     common filter (f_N I with f_N = 1-(1-d_max)^2 (1-eta_max)^N), the
     residual basis-dependent filters, the completed third-step outcome
@@ -341,7 +350,7 @@ def build_block_povm(
     but the X error after the Z filter is the dense outcome_error_X between
     the filter's square roots.
     """
-    n, eta, dc = _checked(n, eta, dc)
+    n, eta, dc = _checked(n, eta, dc, "(4,)")
     spectra = _block_spectra(n, eta, dc)
     rot = mode_rotation_unitary(n)
     # kron(H, R): the common eigenbasis of the X-basis operators.
@@ -416,9 +425,10 @@ def _delta1_bound(s: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:
 def block_deltas(n: int, eta, dc) -> tuple[np.ndarray, np.ndarray]:
     """Per-block (delta1, delta2) contributions at a batch of parameter points.
 
-    ``eta``/``dc`` are as in ``_block_spectra``; both results have their
-    batch shape.  Only the three spectra the deltas read are built
-    (``_delta_parts``); delta1 takes one batched ``eigvalsh`` (``_delta1``).
+    ``eta``/``dc`` are as in ``_block_spectra``, of one shape (..., 4); both
+    results have their batch shape.  Only the three spectra the deltas read
+    are built (``_delta_parts``); delta1 takes one batched ``eigvalsh``
+    (``_delta1``).
     """
     n, eta, dc = _checked(n, eta, dc)
     d2, (s, g, r) = _delta_parts(n, eta, dc)

@@ -253,25 +253,6 @@ class TestObservations:
         obs = Observations(n_x=(49, 98, 10.5), n_k=(1, 1, 1), e_x=(1 / 49, 2 / 98, 0.3), e_z=0.0)
         assert obs.n_x_err == (1.0, 2.0, 10.5 * 0.3)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Observations(n_x=(-1, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=0.0)
-        with pytest.raises(ValueError):
-            Observations(n_x=(1, 0, 0), n_k=(0, 0, 0), e_x=(1.5, 0, 0), e_z=0.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="n_x"):
-            Observations(n_x=(bad, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=0.0)
-        with pytest.raises(ValueError, match="n_k"):
-            Observations(n_x=(0, 0, 0), n_k=(0, 0, bad), e_x=(0, 0, 0), e_z=0.0)
-        with pytest.raises(ValueError, match="e_x"):
-            Observations(n_x=(0, 0, 0), n_k=(0, 0, 0), e_x=(0, bad, 0), e_z=0.0)
-        with pytest.raises(ValueError, match="e_z"):
-            Observations(n_x=(0, 0, 0), n_k=(0, 0, 0), e_x=(0, 0, 0), e_z=bad)
-        with pytest.raises(ValueError, match="counts"):
-            OutcomeCounts((1.0, bad, 2.0))
-
 
 @pytest.mark.parametrize("entries", [2, 4])
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Structural and numerical tests of the detector POVM model."""
 
+import decimal
 import math
-import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -83,11 +84,9 @@ class TestDetectorSpec:
         assert s.eta_max == pytest.approx(0.707)
         assert s.d_min == pytest.approx(0.98e-6)
         assert s.d_max == pytest.approx(1.02e-6)
-        assert s.eta_ratio == pytest.approx(0.693 / 0.707)
+        assert s.eta_gap == pytest.approx(1 - 0.693 / 0.707)
 
     def test_rejects_unphysical(self):
-        with pytest.raises(ValueError):
-            DetectorSpec(1.2, 1e-6)
         with pytest.raises(ValueError):
             DetectorSpec(0.999, 1e-6, delta_eta=0.01)
         with pytest.raises(ValueError):
@@ -95,12 +94,6 @@ class TestDetectorSpec:
         # A subnormal eta_det: eta_min and eta_max can round to one value.
         with pytest.raises(ValueError, match=r"^eta_det must be a finite number in \[2.22507e-308, 1\]"):
             DetectorSpec(5e-324, 1e-6, 0.05, 0)
-
-    def test_delta_pair_ranges(self):
-        with pytest.raises(ValueError):
-            DeltaPair(4.5, 0.0)
-        with pytest.raises(ValueError):
-            DeltaPair(0.0, 1.5)
 
 
 class TestClosedFormDeltas:
@@ -141,12 +134,25 @@ class TestClosedFormDeltas:
     def test_depends_on_eta_det_only_through_the_tolerances(self, d_det, delta_eta, delta_dc, u):
         # eta_det log-uniform in [smallest normal, 1/(1 + delta_eta)] against
         # 0.5 (at 5e-324 both deltas were 0).  Below delta_eta = 1e-3,
-        # rounding eta_det(1 -/+ delta_eta) moves 1 - eta_ratio by > 1e-12.
+        # rounding eta_det(1 -/+ delta_eta) moves the oracle's box by > 1e-12.
         top = 1.0 / (1.0 + delta_eta)
         eta = min(top, 2.0 ** (-1022.0 + u * (1022.0 + math.log2(top))))
         for deltas in (closed_form_deltas, lambda s: oracle_deltas(s, n_max=3, interior_samples=0, seed=0)):
             got, want = (deltas(DetectorSpec(e, d_det, delta_eta, delta_dc)) for e in (eta, 0.5))
             assert (got.delta1, got.delta2) == pytest.approx((want.delta1, want.delta2), rel=1e-12)
+
+    @pytest.mark.parametrize("delta_eta", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("eta_det", [0.3, 0.5, 0.7, 0.9])
+    def test_efficiency_branch_keeps_full_precision(self, eta_det, delta_eta):
+        # Against x = (1 - d)^2 2 delta_eta/(1 + delta_eta) in 60 digits; the
+        # gap from two rounded efficiencies was up to 9e-5 off at 1e-12.
+        got = closed_form_deltas(DetectorSpec(eta_det, 1e-6, delta_eta, 0.0))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            de = Decimal(delta_eta)
+            x = (1 - Decimal(1e-6)) ** 2 * 2 * de / (1 + de)
+            want = (4 * (1 - (1 - x).sqrt()), x)
+        assert (got.delta1, got.delta2) == pytest.approx(tuple(map(float, want)), rel=1e-15, abs=0)
 
     def test_monotone_in_tolerances(self):
         grid = [0.0, 0.002, 0.005, 0.01, 0.02]
@@ -232,29 +238,6 @@ class TestBlockStructure:
                 diff = blk.operators["common_filter"] - blk.operators[f"conclusive_{b}"]
                 assert np.linalg.eigvalsh(diff).min() > -1e-12
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_two_step_reconstruction(self, seed):
-        # sqrt(common) sqrt(residual_b) outcome_error sqrt(residual_b)
-        # sqrt(common) must reproduce the raw error operator.
-        rng = np.random.default_rng(100 + seed)
-        eta, dc = _random_params(rng)
-        for blk in build_block_povms(3, eta, dc):
-            common_root = np.real(
-                np.linalg.cholesky(
-                    blk.operators["common_filter"] + 1e-30 * np.eye(2 * (blk.n_photons + 1))
-                )
-            )
-            for b in ("Z", "X"):
-                res_root = _psd_root(blk.operators[f"residual_filter_{b}"])
-                rebuilt = (
-                    common_root
-                    @ res_root
-                    @ blk.operators[f"outcome_error_{b}"]
-                    @ res_root
-                    @ common_root
-                )
-                assert np.abs(rebuilt - blk.operators[f"error_{b}"]).max() < 1e-10
-
     def test_photon_cutoff_refusal(self):
         with pytest.raises(ValueError, match=r"^n must be a finite integer in \[0, 64\], got 100$"):
             build_block_povm(100, (0.7,) * 4, (1e-6,) * 4)
@@ -267,6 +250,22 @@ class TestBlockStructure:
         for build in (build_block_povm, block_deltas):
             with pytest.raises(ValueError, match=rf"^{name}\[1, 2\] must be a finite number"):
                 build(1, **box)
+
+    @pytest.mark.parametrize(
+        "build, eta_shape, dc_shape, name",
+        [
+            *((build_block_povm, shape, shape, "eta") for shape in [(3,), (5,), (), (1, 4)]),
+            *((build, (4,), shape, "dc") for build in (build_block_povm, block_deltas) for shape in [(5,), (2, 4)]),
+            (block_deltas, (2, 4), (4,), "dc"),
+            (block_deltas, (2, 5), (2, 5), "eta"),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v).replace(" ", "")),
+    )
+    def test_names_the_array_of_the_wrong_shape(self, build, eta_shape, dc_shape, name):
+        # A fifth entry used to enter the common filter's maximum as a
+        # detector, and a (1, 4) point gave a common filter of shape (1,).
+        with pytest.raises(ValueError, match=f"^{name} must have"):
+            build(1, np.full(eta_shape, 0.7), np.full(dc_shape, 1e-6))
 
 
 class TestOracleDeltas:

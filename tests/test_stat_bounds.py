@@ -147,14 +147,6 @@ class TestBinomialTail:
         assert binomial_tail(TailQuery(n=10**12, delta=0.01, c=1e-8)) > 0.4
         assert binomial_tail(TailQuery(n=10**12, delta=0.01, c=1e-3)) == 0.0
 
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            TailQuery(n=10, delta=-0.1, c=0.1)
-        with pytest.raises(ValueError):
-            TailQuery(n=10, delta=1.1, c=0.1)
-        with pytest.raises(ValueError):
-            TailQuery(n=0, delta=0.1, c=0.1)
-
 
 def quantile_bisection(n: int, delta: float, eps_sq: float) -> float:
     """Oracle: the full-range bisection binomial_quantile once was, kept
@@ -383,8 +375,21 @@ NESTED = {(ChannelSpec, "detector"): DetectorSpec, (PhaseErrorQuery, "deltas"): 
 OWN_RULE = {(TrialConfig, "profile")}  # one of PROFILES
 
 
-RECORDS = [DetectorSpec, DeltaPair, ChannelSpec, DecoyConfig, OutcomeCounts, Observations,
-           EpsilonBudget, PhaseErrorQuery, TailQuery, TrialConfig]
+# One valid instance of every input record; each field table is tested
+# from it, one bad value at a time.
+VALID = [
+    DetectorSpec(0.7, 1e-6, 0.01, 0.01),
+    DeltaPair(0.04, 0.02),
+    ChannelSpec.reference(10.0),
+    DecoyConfig.reference(),
+    OutcomeCounts((1e4, 1e3, 10.0)),
+    Observations(n_x=(9e5, 1e6, 1e5), n_k=(8e5, 9e5, 9e4), e_x=(1e-3, 1e-3, 0.5), e_z=0.01),
+    EpsilonBudget(),
+    PhaseErrorQuery(0.02, 100, 1000, DeltaPair(0.04, 0.02), 1e-20, 1e-20, 1e-20),
+    TailQuery(n=10, delta=0.1, c=0.2),
+    TrialConfig(),
+]
+RECORDS = [type(record) for record in VALID]
 
 
 def test_every_input_record_has_a_table():
@@ -482,6 +487,36 @@ def _bad_values(lo, hi, kind, ends):
     return bad
 
 
+def _assert_rejected(build, value, prefix: str) -> None:
+    """``build(value)`` raises a ValueError whose message starts with ``prefix``."""
+    try:
+        build(value)
+    except ValueError as exc:
+        assert str(exc).startswith(prefix), (value, str(exc))
+    else:
+        pytest.fail(f"{prefix.split()[0]} = {value!r} was accepted")
+
+
+RECORD_FIELDS = [(record, name) for record in VALID for name in type(record)._FIELDS]
+
+
+@pytest.mark.parametrize(
+    "record, name", RECORD_FIELDS, ids=[f"{type(r).__name__}-{name}" for r, name in RECORD_FIELDS]
+)
+def test_every_record_field_rejects_bad_values(record, name):
+    # The valid record with one bad value swapped in; a tuple field takes
+    # each bad value at each of its three entries in turn.
+    lo, hi, kind, ends = type(record)._FIELDS[name]
+    valid = getattr(record, name)
+    if kind is tuple:
+        cases = [(f"{name}[{i}]", valid[:i] + (bad,) + valid[i + 1:])
+                 for i in range(3) for bad in _bad_values(lo, hi, float, ends)]
+    else:
+        cases = [(name, bad) for bad in _bad_values(lo, hi, kind, ends)]
+    for where, value in cases:
+        _assert_rejected(lambda v: dataclasses.replace(record, **{name: v}), value, f"{where} must be ")
+
+
 @pytest.mark.parametrize(
     "func, call, name, bounds", SCALAR_ARGUMENTS,
     ids=[f"{f.__name__}-{name}" for f, _, name, _ in SCALAR_ARGUMENTS],
@@ -489,12 +524,7 @@ def _bad_values(lo, hi, kind, ends):
 def test_every_public_scalar_argument_is_checked(func, call, name, bounds):
     func(**call)
     for bad in _bad_values(*bounds):
-        try:
-            func(**{**call, name: bad})
-        except ValueError as exc:
-            assert str(exc).startswith(f"{name} "), (bad, str(exc))
-        else:
-            pytest.fail(f"{func.__name__}({name}={bad!r}) was accepted")
+        _assert_rejected(lambda v: func(**{**call, name: v}), bad, f"{name} ")
 
 
 def test_every_public_argument_is_in_the_table():
