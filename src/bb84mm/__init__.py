@@ -21,7 +21,12 @@ The package is organized bottom-up:
 * :mod:`bb84mm.cli` -- command-line front end.
 
 Each name is imported from its module; the package itself loads nothing,
-so ``import bb84mm`` does not import numpy or scipy.
+so ``import bb84mm`` does not import numpy or scipy.  No module imports
+scipy when it loads: ``scipy.special`` (a quarter of a second, most of a
+start-up) comes in with the first binomial tail evaluation
+(:func:`bb84mm.stat_bounds.betainc`) or the first sampled photon pmf
+(``DecoyConfig._photon_pmf``), so ``delta``, ``decoy`` and an expected
+``simulate`` never load it.
 """
 
 __version__ = "0.1.0"

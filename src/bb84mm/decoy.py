@@ -14,7 +14,9 @@ bound on the one-photon count.  ``bound_vacuum_lower``,
 What depends only on the config is computed on first use and kept on the
 ``DecoyConfig`` as a cached property: the bounds' constants
 (``_bound_constants``) and the source photon-number pmf the sampler draws
-from (``_photon_pmf``).
+from (``_photon_pmf``).  The pmf's tail check is the module's one scipy
+call, so it imports ``scipy.special`` itself, once per config: loading
+this module for the bounds then costs no scipy import.
 
 All bounds are clamped to the physical range [0, n_O]; clamping a valid
 bound only tightens it.  Statistically inconsistent counts can cross the
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc
 
 from bb84mm.stat_bounds import _checked_number, _Record, hoeffding_decoy_dev
 
@@ -101,6 +102,8 @@ class DecoyConfig(_Record):
         """Source photon-number pmf of each intensity, shape (3, PHOTON_CUTOFF + 1);
         the top bucket takes the Poisson tail.  Kept like ``_bound_constants``
         (a rejected config raises on every access) and read-only."""
+        from scipy.special import gammainc  # once per config; see the module docstring
+
         if gammainc(PHOTON_CUTOFF + 1, max(self.intensities)) > MAX_TAIL:
             raise ValueError(
                 f"intensities must put at most {MAX_TAIL:g} Poisson mass above "

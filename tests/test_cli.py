@@ -584,21 +584,50 @@ def test_console_entry_point(config_path):
     assert "closed_form" in payload
 
 
-def test_import_leaves_scipy_stats_unloaded(config_path, tmp_path):
-    # Also through a `delta` run that samples a tolerance box's interior.
-    script = (
-        "import sys; from bb84mm import cli; "
-        f"cli.main(['delta', '--config', {config_path!r}, '--out', {str(tmp_path / 'delta.json')!r}]); "
-        "print('scipy.stats' in sys.modules)"
-    )
+def _fresh(script: str) -> list[str]:
+    """The words ``script`` prints when run in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-    assert json.loads((tmp_path / "delta.json").read_text())["oracle"]["d1"] > 0
+    return proc.stdout.split()
+
+
+def test_import_leaves_scipy_stats_unloaded(config_path, tmp_path):
+    # No scipy module at all: not on import, nor through the subcommands that
+    # evaluate no tail and draw no sample (a `delta` run samples a tolerance
+    # box's interior; `decoy` reads the expected `simulate` observations).
+    obs, delta = str(tmp_path / "obs.json"), str(tmp_path / "delta.json")
+    runs = [
+        [],
+        ["simulate", "--config", config_path, "--out", obs],
+        ["decoy", "--config", config_path, "--observations", obs, "--out", str(tmp_path / "decoy.json")],
+        ["delta", "--config", config_path, "--out", delta],
+    ]
+    script = (
+        "import sys; from bb84mm import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    print(argv and cli.main(argv), any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    assert _fresh(script) == ["[]", "False"] + ["0", "False"] * (len(runs) - 1)
+    assert json.loads(Path(delta).read_text())["oracle"]["d1"] > 0
+
+
+def test_scipy_special_loads_on_the_first_tail_evaluation(config_path, tmp_path):
+    # The counting hook is one object throughout, and a key-length decision
+    # reaches the lazy import.
+    hook = (
+        "import sys; from bb84mm import stat_bounds; hook = stat_bounds.betainc\n"
+        "print('scipy.special' in sys.modules, stat_bounds.binomial_tail(stat_bounds.TailQuery(100, 0.1, 0.05)) > 0,"
+        " stat_bounds.betainc is hook, 'scipy.special' in sys.modules)"
+    )
+    assert _fresh(hook) == ["False", "True", "True", "True"]
+    argv = ["keyrate", "--config", config_path, "--out", str(tmp_path / "scan.csv")]
+    keyrate = (
+        "import sys; from bb84mm import cli\n"
+        f"print('scipy.special' in sys.modules, cli.main({argv!r}), 'scipy.special' in sys.modules)"
+    )
+    assert _fresh(keyrate) == ["False", "0", "True"]
 
 
 def test_import_bb84mm_stays_thin():
     script = "import sys, bb84mm; print(bb84mm.__version__, 'numpy' in sys.modules, 'scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[1:] == ["False", "False"]
+    assert _fresh(script)[1:] == ["False", "False"]

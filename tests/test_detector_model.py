@@ -251,6 +251,12 @@ class TestBlockStructure:
             with pytest.raises(ValueError, match=rf"^{name}\[1, 2\] must be a finite number"):
                 build(1, **box)
 
+    def test_names_a_scalar_out_of_range_without_an_index(self):
+        with pytest.raises(ValueError, match=r"^eta must be a finite number in \[0, 1\], got 1.5$"):
+            block_deltas(1, 1.5, 1e-6)
+        with pytest.raises(ValueError, match=r"^dc must be a finite number in \[0, 1\], got -1.0$"):
+            block_deltas(1, (0.7,) * 4, -1.0)
+
     @pytest.mark.parametrize(
         "build, eta_shape, dc_shape, name",
         [
