@@ -21,14 +21,17 @@ silence differs between the two uses:
 ``sample_observations`` draws a full protocol run in three aggregate
 multinomials over (intensity, source photon number, outcome class) with the
 fixed-m law, optionally keeping the per-photon-number tags the decoy Monte
-Carlo tests need.  The source photon-number pmf it draws from depends only
-on the decoy config, so it is a cached property of ``DecoyConfig``.
+Carlo tests need.  Its two tables are cached properties of what they depend
+on alone, built on first use: the photon-number pmf of the ``DecoyConfig``
+and the outcome-class table of the ``ChannelSpec``, so runs that reuse a
+channel (tolerance curves, repeated seeds) rebuild neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +76,19 @@ class ChannelSpec(_Record):
 
     p_x_alice = property(lambda self: 1.0 - self.p_z_alice)
     p_x_bob = property(lambda self: 1.0 - self.p_z_bob)
+
+    @cached_property
+    def _class_table(self) -> np.ndarray:
+        """Outcome-class probabilities of one round given m source photons, shape
+        (PHOTON_CUTOFF + 1, 6): the classes of ``_class_rates`` and none of these.
+        Kept like ``DecoyConfig._photon_pmf`` (not a field) and read-only."""
+        f_ok, f_bad = _detection_probs(self)
+        m = np.arange(PHOTON_CUTOFF + 1)
+        silent = ((1.0 - f_ok) ** m, (1.0 - f_bad) ** m, (1.0 - f_ok - f_bad) ** m)
+        table = np.stack(_class_rates(self, *silent), axis=1)
+        table = np.column_stack([table, np.maximum(0.0, 1.0 - table.sum(axis=1))])
+        table.flags.writeable = False
+        return table
 
     @classmethod
     def reference(cls, loss_db: float, n_total: int = 10**12, **overrides) -> "ChannelSpec":
@@ -165,16 +181,6 @@ def expected_observations(ch: ChannelSpec, cfg: DecoyConfig) -> Observations:
     return _record(*zip(*counts))
 
 
-def _class_table(ch: ChannelSpec) -> np.ndarray:
-    """Outcome-class probabilities of one round given m source photons, shape
-    (PHOTON_CUTOFF + 1, 6): the classes of ``_class_rates`` and none of these."""
-    f_ok, f_bad = _detection_probs(ch)
-    m = np.arange(PHOTON_CUTOFF + 1)
-    silent = ((1.0 - f_ok) ** m, (1.0 - f_bad) ** m, (1.0 - f_ok - f_bad) ** m)
-    table = np.stack(_class_rates(ch, *silent), axis=1)
-    return np.column_stack([table, np.maximum(0.0, 1.0 - table.sum(axis=1))])
-
-
 def sample_observations(
     ch: ChannelSpec,
     cfg: DecoyConfig,
@@ -185,15 +191,16 @@ def sample_observations(
 
     Three aggregate multinomial draws: the rounds over intensities, each
     intensity's rounds over source photon numbers, and each (intensity,
-    photon number) cell over the outcome classes of ``_class_table``, one
-    table for both bases.  Memory is O(intensities * PHOTON_CUTOFF) for
-    any n_total up to the int64 maximum.  Photon numbers above
-    PHOTON_CUTOFF share the top bucket of the config's photon pmf
-    (``DecoyConfig._photon_pmf``), which rejects intensities with more
-    Poisson mass there than ``decoy.MAX_TAIL``.  With ``with_tags`` the true
-    per-photon-number counts of the X, X-error and key classes are returned
-    alongside (unobservable in a real run; the decoy validation tests need
-    them).  ``seed`` must be an integer >= 0.
+    photon number) cell over the outcome classes of the channel's
+    ``ChannelSpec._class_table``, one table for both bases.  Memory is
+    O(intensities * PHOTON_CUTOFF) for any n_total up to the int64 maximum.
+    Photon numbers above PHOTON_CUTOFF share the top bucket of the config's
+    photon pmf (``DecoyConfig._photon_pmf``), which rejects intensities with
+    more Poisson mass there than ``decoy.MAX_TAIL``.  Both tables are built
+    on the first run with their channel or config and reused after it.
+    With ``with_tags`` the true per-photon-number counts of the X, X-error
+    and key classes are returned alongside (unobservable in a real run; the
+    decoy validation tests need them).  ``seed`` must be an integer >= 0.
     """
     seed = _checked_number("seed", seed, 0, math.inf, int)
     if ch.n_total > np.iinfo(np.int64).max:
@@ -202,7 +209,7 @@ def sample_observations(
     rng = np.random.default_rng(seed)
     per_intensity = rng.multinomial(ch.n_total, cfg.probabilities)
     per_photon = rng.multinomial(per_intensity, pmf)
-    counts = rng.multinomial(per_photon, _class_table(ch)).astype(float)
+    counts = rng.multinomial(per_photon, ch._class_table).astype(float)
 
     obs = _record(*counts.sum(axis=1)[:, :5].T.tolist())
     if not with_tags:

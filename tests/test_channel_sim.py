@@ -14,11 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bb84mm import decoy
+from bb84mm import channel_sim, decoy
 from bb84mm.channel_sim import (
     ChannelSpec,
     PHOTON_CUTOFF,
-    _class_table,
     _detection_probs,
     _outcome_rates,
     expected_observations,
@@ -117,7 +116,7 @@ class TestExpectedObservations:
         ch = channel(10**-0.1, 0.0, eta_det=1.0, d_det=0.0)
         obs = expected_observations(ch, DecoyConfig((1.0, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)))
         assert obs.e_x == (0.0, 0.0, 0.0) and obs.e_z == 0.0
-        assert _class_table(ch).min() == 0.0
+        assert ch._class_table.min() == 0.0
 
     def test_counts_scale_linearly_in_n_total(self):
         cfg = DecoyConfig.reference()
@@ -138,7 +137,7 @@ class TestExpectedObservations:
 
 class TestClassProbabilities:
     def test_rows_sum_to_one(self):
-        table = _class_table(ChannelSpec.reference(loss_db=10.0, n_total=10**6))
+        table = ChannelSpec.reference(loss_db=10.0, n_total=10**6)._class_table
         assert table.shape == (PHOTON_CUTOFF + 1, 6)
         assert table.min() >= 0.0
         np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -158,7 +157,7 @@ class TestClassProbabilities:
         # rounding error of a few 1e-17; at high loss that is far above
         # 1e-12 of the smallest class probabilities, hence the absolute floor.
         ch = channel(10.0 ** (-loss_db / 10.0), theta, eta_det, d_det)
-        table = _class_table(ch)
+        table = ch._class_table
         assert table.min() >= 0.0
         np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -230,7 +229,7 @@ class TestSampleObservations:
         runs = 200
         tags = [sample_observations(ch, cfg, seed=s, with_tags=True)[1] for s in range(runs)]
         weights = np.asarray(cfg.probabilities) @ cfg._photon_pmf[:, :4]
-        q = weights[:, None] * _class_table(ch)[:4]
+        q = weights[:, None] * ch._class_table[:4]
         for name, cells in (("x", q[:, 0] + q[:, 1]), ("x_err", q[:, 0]), ("k", q[:, 2])):
             mean = np.mean([getattr(t, name)[:4] for t in tags], axis=0)
             se = np.sqrt(ch.n_total * cells * (1 - cells) / runs)
@@ -298,6 +297,69 @@ class TestPerConfigConstants:
         for f in (tau, intensity_given_photon):
             with pytest.raises(ValueError, match="^m must"):
                 f(-1, cfg)
+
+
+class TestPerChannelConstants:
+    """The outcome-class table depends only on the ChannelSpec, so it is
+    built once per channel and kept on it; equal channels give equal runs,
+    and the channel itself does not change."""
+
+    CFG = DecoyConfig.reference()
+
+    @staticmethod
+    def channel():
+        return ChannelSpec.reference(loss_db=10.0, n_total=10**6)
+
+    def test_class_table_is_read_only(self):
+        table = self.channel()._class_table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
+
+    def test_warm_runs_build_no_class_table(self, monkeypatch):
+        # A count, not a timing: once a channel has been sampled, later
+        # runs on it evaluate no class probabilities.
+        calls, class_rates = [], channel_sim._class_rates
+
+        def counted(*args):
+            calls.append(args)
+            return class_rates(*args)
+
+        monkeypatch.setattr(channel_sim, "_class_rates", counted)
+        ch = self.channel()
+        sample_observations(ch, self.CFG, seed=1, with_tags=True)
+        assert len(calls) == 1
+        calls.clear()
+        for seed in (2, 3):
+            sample_observations(ch, self.CFG, seed=seed, with_tags=True)
+            sample_observations(ch, self.CFG, seed=seed)
+        assert calls == []
+
+    def test_equal_channels_give_equal_runs(self):
+        a, b = self.channel(), self.channel()
+        assert a is not b
+        for seed in (0, 5):
+            (obs_a, tags_a), (obs_b, tags_b) = (
+                sample_observations(ch, self.CFG, seed=seed, with_tags=True) for ch in (a, b)
+            )
+            assert obs_a == obs_b
+            assert all(np.array_equal(getattr(tags_a, f), getattr(tags_b, f)) for f in ("x", "x_err", "k"))
+
+    def test_runs_leave_the_channel_unchanged(self):
+        ch, fresh = self.channel(), self.channel()
+        sample_observations(ch, self.CFG, seed=0, with_tags=True)
+        assert ch == fresh and hash(ch) == hash(fresh) and repr(ch) == repr(fresh)
+        assert dataclasses.asdict(ch) == dataclasses.asdict(fresh)
+
+    def test_replaced_channel_gets_its_own_table(self):
+        # The CLI scans loss with dataclasses.replace on one channel.
+        ch = self.channel()
+        table = ch._class_table
+        lossier = dataclasses.replace(ch, transmissivity=10.0 ** (-20.0 / 10.0))
+        assert lossier._class_table is not table
+        assert lossier._class_table[1, 2] < table[1, 2]
+        np.testing.assert_array_equal(
+            lossier._class_table, ChannelSpec.reference(loss_db=20.0, n_total=10**6)._class_table
+        )
 
 
 def test_channel_spec_validation():

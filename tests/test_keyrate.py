@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bb84mm.channel_sim import ChannelSpec, _class_table, expected_observations
+from bb84mm.channel_sim import ChannelSpec, expected_observations
 from bb84mm.decoy import DecoyConfig, Observations, OutcomeCounts, decoy_bounds
 from bb84mm.detector_model import DeltaPair, DetectorSpec, closed_form_deltas
 from bb84mm.keyrate import (
@@ -285,7 +285,7 @@ class TestKeyLengthDecoy:
         deltas = closed_form_deltas(DetectorSpec(eta_det, d_det, *tol))
         out = key_length_decoy(expected_observations(ch, cfg), cfg, deltas, budget, f_ec)
 
-        single = ch.n_total * float(np.dot(cfg.probabilities, cfg._photon_pmf[:, 1])) * _class_table(ch)[1]
+        single = ch.n_total * float(np.dot(cfg.probabilities, cfg._photon_pmf[:, 1])) * ch._class_table[1]
         x_err, x_ok, n1_key = single[:3]
         hash_penalties = 2 * math.log2(1 / (2 * budget.eps_pa)) + math.log2(2 / budget.eps_ev)
         ceiling = n1_key * (1 - binary_entropy(x_err / (x_err + x_ok))) - out.lambda_ec - hash_penalties

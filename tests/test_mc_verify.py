@@ -6,6 +6,7 @@ configuration (n = 2000, 1e5 trials) lives in test_acceptance.py.
 
 import itertools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -136,6 +137,33 @@ class TestKernels:
         for p in (0.01, 0.1, 0.5):
             pmf = poisson_binomial_pmf(np.full(2000, p))
             assert np.max(np.abs(pmf - stats.binom.pmf(k, 2000, p))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1030, 2000])
+    def test_pmf_matches_exact_fair_coins(self, n):
+        # The tree's power-of-two scaling must not move a normal entry: each
+        # stays within 1e-13 of the correctly rounded comb(n, k) / 2**n.
+        pmf = poisson_binomial_pmf(np.full(n, 0.5))
+        ref = np.array([math.comb(n, k) / 2**n for k in range(n + 1)])
+        normal = ref >= sys.float_info.min
+        assert np.all(np.abs(pmf[normal] - ref[normal]) <= 1e-13 * ref[normal])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(st.integers(0, 4096), st.sampled_from(_POW2_SIZES + [4095, 4096])),
+        st.sampled_from(["zeros", "ones", "mixed"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pmf_never_overflows(self, n, kind, seed):
+        # Scaled products and their sums stay below 2**1000, so no entry
+        # overflows even where every coefficient sits at 1.
+        rng = np.random.default_rng(seed)
+        if kind == "mixed":
+            p = rng.choice([0.0, 1.0, rng.uniform()], n)
+        else:
+            p = np.full(n, 1.0 if kind == "ones" else 0.0)
+        pmf = poisson_binomial_pmf(p)
+        assert np.all(np.isfinite(pmf))
+        assert math.isclose(pmf.sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=10))
